@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .evaluation import (
@@ -25,6 +26,7 @@ from .evaluation import (
 )
 from .forecaster import (
     BASELINES,
+    DEFAULT_COVERAGE,
     load_external_forecasts,
     save_external_forecasts,
 )
@@ -37,20 +39,12 @@ from .rule_engine import bottoming_tail_rule, evaluate_rule, explain
 DEFAULTS = {
     "symbol": "",
     "model": "drift",
-    "lookback": 110,
-    "horizon": 7,
-    "stride": 1,
-    "train_fraction": 0.7,
-    "threshold": 0.5,
-    "epochs": 500,
-    "learning_rate": 0.1,
-    "seed": 0,
-    "coverage": 0.68,
-    "samples": 6,
+    **{f.name: f.default for f in fields(EvalConfig)},
+    "coverage": DEFAULT_COVERAGE,
+    "samples": PromptConfig.line_samples,
     "asset": "Bitcoin",
     "domain": BITCOIN_DOMAIN,
     "format": "table",
-    "required_rules": [],
 }
 
 CONFIG_KEYS = tuple(DEFAULTS)
@@ -166,17 +160,9 @@ def cmd_forecast(args) -> int:
 
 
 def _eval_config(cfg: dict) -> EvalConfig:
-    return EvalConfig(
-        lookback=cfg["lookback"],
-        horizon=cfg["horizon"],
-        stride=cfg["stride"],
-        train_fraction=cfg["train_fraction"],
-        threshold=cfg["threshold"],
-        epochs=cfg["epochs"],
-        learning_rate=cfg["learning_rate"],
-        seed=cfg["seed"],
-        required_rules=tuple(cfg["required_rules"]),
-    )
+    values = {f.name: cfg[f.name] for f in fields(EvalConfig)}
+    values["required_rules"] = tuple(values["required_rules"])
+    return EvalConfig(**values)
 
 
 def cmd_train_gate(args) -> int:
@@ -244,18 +230,20 @@ def _add_config_flags(parser: argparse.ArgumentParser, *, gate: bool = False) ->
     parser.add_argument("--config", help="JSON config file; flags override its values")
     parser.add_argument("--symbol", help="symbol label (default: file stem)")
     parser.add_argument("--model", help="forecaster: naive|drift|linreg|external:PATH")
-    parser.add_argument("--lookback", type=int, help="window length (default 110)")
-    parser.add_argument("--horizon", type=int, help="forecast steps (default 7)")
-    parser.add_argument("--coverage", type=float, help="central interval coverage (default 0.68)")
+    parser.add_argument("--lookback", type=int,
+                        help=f"window length (default {DEFAULTS['lookback']})")
+    parser.add_argument("--horizon", type=int,
+                        help=f"forecast steps (default {DEFAULTS['horizon']})")
+    parser.add_argument("--coverage", type=float,
+                        help=f"central interval coverage (default {DEFAULTS['coverage']})")
     if gate:
-        parser.add_argument("--stride", type=int, help="evaluation origin step (default 1)")
+        parser.add_argument("--stride", type=int,
+                            help=f"evaluation origin step (default {DEFAULTS['stride']})")
         parser.add_argument("--train-fraction", dest="train_fraction", type=float,
-                            help="fraction of origins used to train the gate (default 0.7)")
-        parser.add_argument("--threshold", type=float, help="gate score threshold (default 0.5)")
-        parser.add_argument("--epochs", type=int, help="gate training epochs (default 500)")
-        parser.add_argument("--learning-rate", dest="learning_rate", type=float,
-                            help="gate learning rate (default 0.1)")
-        parser.add_argument("--seed", type=int, help="training seed (default 0)")
+                            help="fraction of origins used to train the gate "
+                                 f"(default {DEFAULTS['train_fraction']})")
+        parser.add_argument("--threshold", type=float,
+                            help=f"gate score threshold (default {DEFAULTS['threshold']})")
         parser.add_argument("--require-rule", dest="required_rules", action="append",
                             help="rule that must pass for execution (repeatable)")
 
@@ -306,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="also write the prompt to this file")
     p.add_argument("--asset", help="asset name used in the template (default Bitcoin)")
     p.add_argument("--domain", help="domain paragraph override")
-    p.add_argument("--samples", type=int, help="points per trend-line sequence (default 6)")
+    p.add_argument("--samples", type=int,
+                   help=f"points per trend-line sequence (default {DEFAULTS['samples']})")
     _add_config_flags(p)
     p.set_defaults(func=cmd_prompt)
 

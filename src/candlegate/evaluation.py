@@ -41,9 +41,6 @@ class EvalConfig:
     stride: int = 1
     train_fraction: float = 0.7
     threshold: float = 0.5
-    epochs: int = 500
-    learning_rate: float = 0.1
-    seed: int = 0
     required_rules: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -125,14 +122,7 @@ def train_gate_on_series(series: Series, forecaster, rules: list[Rule], cfg: Eva
         forecast, _, x = _origin_inputs(series, origin, forecaster, rules, cfg)
         dataset.append((x, meta_label(forecast, series)))
     names = feature_names([rule.name for rule in rules])
-    return train(
-        dataset,
-        epochs=cfg.epochs,
-        learning_rate=cfg.learning_rate,
-        seed=cfg.seed,
-        threshold=cfg.threshold,
-        names=names,
-    )
+    return train(dataset, threshold=cfg.threshold, names=names)
 
 
 def walk_forward(

@@ -10,13 +10,14 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
 from .indicators import realized_volatility
-from .market_data import Series, Window, _parse_timestamp, format_timestamp
+from .market_data import ParseError, Series, Window, _parse_timestamp, format_timestamp
 
 EXTERNAL_HEADER_BASE = "origin_timestamp,step,predicted_close"
 EXTERNAL_HEADER_FULL = "origin_timestamp,step,predicted_close,lower,upper"
@@ -40,7 +41,6 @@ class Forecast:
     path: tuple[float, ...]
     lower: tuple[float, ...] | None = None
     upper: tuple[float, ...] | None = None
-    coverage: float | None = None
 
     def __post_init__(self):
         if not self.path:
@@ -85,7 +85,7 @@ def naive_forecast(w: Window, horizon: int, coverage: float = DEFAULT_COVERAGE) 
     last = float(w.closes[-1])
     path = tuple([last] * horizon)
     lower, upper = _diffusion_interval(path, last, _volatility_or_zero(w), coverage)
-    return Forecast(w.end - 1, path, lower, upper, coverage)
+    return Forecast(w.end - 1, path, lower, upper)
 
 
 def drift_forecast(w: Window, horizon: int, coverage: float = DEFAULT_COVERAGE) -> Forecast:
@@ -99,7 +99,7 @@ def drift_forecast(w: Window, horizon: int, coverage: float = DEFAULT_COVERAGE) 
     step = float(closes[-1] - closes[0]) / (len(closes) - 1)
     path = tuple(last + (k + 1) * step for k in range(horizon))
     lower, upper = _diffusion_interval(path, last, _volatility_or_zero(w), coverage)
-    return Forecast(w.end - 1, path, lower, upper, coverage)
+    return Forecast(w.end - 1, path, lower, upper)
 
 
 def linreg_forecast(w: Window, horizon: int, coverage: float = DEFAULT_COVERAGE) -> Forecast:
@@ -118,7 +118,7 @@ def linreg_forecast(w: Window, horizon: int, coverage: float = DEFAULT_COVERAGE)
     width = coverage_z(coverage) * resid_std
     lower = tuple(p - width for p in path)
     upper = tuple(p + width for p in path)
-    return Forecast(w.end - 1, path, lower, upper, coverage)
+    return Forecast(w.end - 1, path, lower, upper)
 
 
 def direction_of(forecast: Forecast, last_close: float) -> Side:
@@ -139,60 +139,80 @@ def load_external_forecasts(
 ) -> list[tuple[int, Forecast]]:
     """Parse externally produced forecasts from CSV text.
 
-    Rows must be grouped by origin with steps contiguous from 1.  When a
-    series is supplied, each origin timestamp must exist in it exactly and the
-    returned forecasts carry the matching origin index.
+    Rows must be grouped by origin with steps contiguous from 1, and every
+    value must be finite.  When a series is supplied, each origin timestamp
+    must exist in it exactly and the returned forecasts carry the matching
+    origin index.  Malformed input raises ParseError with the line number (of
+    the origin's first row for errors that span a whole origin).
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
+    rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
     if not rows:
-        raise ValueError("empty forecast file")
-    header = ",".join(f.strip() for f in rows[0])
+        raise ParseError("empty forecast file")
+    header_line, header_row = rows[0]
+    header = ",".join(f.strip() for f in header_row)
     if header == EXTERNAL_HEADER_FULL:
         has_interval = True
     elif header == EXTERNAL_HEADER_BASE:
         has_interval = False
     else:
-        raise ValueError(
-            f"expected header {EXTERNAL_HEADER_BASE!r} or {EXTERNAL_HEADER_FULL!r}, got {header!r}"
+        raise ParseError(
+            f"expected header {EXTERNAL_HEADER_BASE!r} or {EXTERNAL_HEADER_FULL!r}, got {header!r}",
+            line=header_line,
         )
 
-    groups: list[tuple[int, str, list]] = []
+    expected = 5 if has_interval else 3
+    groups: list[tuple[int, str, int, list]] = []
     seen: set[int] = set()
-    for row in rows[1:]:
-        expected = 5 if has_interval else 3
+    for lineno, row in rows[1:]:
         if len(row) != expected:
-            raise ValueError(f"expected {expected} fields, got {len(row)}: {row!r}")
-        ts, _ = _parse_timestamp(row[0])
-        step = int(row[1])
-        values = tuple(float(f) for f in row[2:])
+            raise ParseError(f"expected {expected} fields, got {len(row)}: {row!r}", line=lineno)
+        try:
+            ts, _ = _parse_timestamp(row[0])
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+        try:
+            step = int(row[1])
+        except ValueError:
+            raise ParseError(f"step {row[1]!r} is not an integer", line=lineno) from None
+        try:
+            values = tuple(float(f) for f in row[2:])
+        except ValueError:
+            raise ParseError(f"non-numeric value in {row[2:]!r}", line=lineno) from None
+        if not all(math.isfinite(v) for v in values):
+            raise ParseError(f"non-finite value in {row[2:]!r}", line=lineno)
         if not groups or groups[-1][0] != ts:
             if ts in seen:
-                raise ValueError(f"rows for origin {row[0]} are not grouped together")
+                raise ParseError(f"rows for origin {row[0]} are not grouped together", line=lineno)
             seen.add(ts)
-            groups.append((ts, row[0], []))
-        groups[-1][2].append((step, values))
+            groups.append((ts, row[0], lineno, []))
+        groups[-1][3].append((step, values))
 
     out = []
-    for ts, label, steps in groups:
+    for ts, label, lineno, steps in groups:
         steps.sort(key=lambda s: s[0])
         got = [s for s, _ in steps]
         if got != list(range(1, len(got) + 1)):
-            raise ValueError(f"origin {label}: steps must be contiguous from 1, got {got}")
+            raise ParseError(f"origin {label}: steps must be contiguous from 1, got {got}", line=lineno)
         origin_index = -1
         if series is not None:
             idx = series.index_of_timestamp(ts)
             if idx is None:
-                raise ValueError(f"origin {label} not present in series {series.symbol!r}")
+                raise ParseError(
+                    f"origin {label} not present in series {series.symbol!r}", line=lineno
+                )
             origin_index = idx
         path = tuple(v[0] for _, v in steps)
         lower = upper = None
         if has_interval:
             lower = tuple(v[1] for _, v in steps)
             upper = tuple(v[2] for _, v in steps)
-        out.append((ts, Forecast(origin_index, path, lower, upper)))
+        try:
+            out.append((ts, Forecast(origin_index, path, lower, upper)))
+        except ValueError as exc:
+            raise ParseError(f"origin {label}: {exc}", line=lineno) from None
     return out
 
 

@@ -192,8 +192,8 @@ def format_timestamp(timestamp: int, flavour: str) -> str:
 def parse_csv(text: str | bytes, symbol: str = "") -> Series:
     """Parse OHLCV CSV text into a validated Series.
 
-    Raises ParseError (with line number) for structural problems and
-    ValidationError for candle/ordering invariant violations.
+    Every candle and ordering invariant is checked once, as its row is read,
+    and a violation raises ParseError with the line number.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -234,9 +234,15 @@ def parse_csv(text: str | bytes, symbol: str = "") -> Series:
         violation = candle.invariant_violation()
         if violation is not None:
             raise ParseError(violation, line=lineno)
+        if candles and ts <= candles[-1].timestamp:
+            raise ParseError(
+                f"timestamps must be strictly increasing "
+                f"({ts} after {candles[-1].timestamp})",
+                line=lineno,
+            )
         candles.append(candle)
 
-    return validate(Series(symbol=symbol, candles=tuple(candles), timestamp_format=flavour))
+    return Series(symbol=symbol, candles=tuple(candles), timestamp_format=flavour)
 
 
 def validate(series: Series) -> Series:

@@ -1,7 +1,8 @@
 """Reliability gate (M2): scores the primary forecast and decides execution.
 
 The gate is a logistic model over a fixed-order feature vector, trained with
-full-batch gradient descent on log-loss.  A forecast is executed only when the
+full-batch gradient descent on log-loss under a fixed schedule (EPOCHS steps
+of size LEARNING_RATE from zero weights).  A forecast is executed only when the
 reliability score clears the threshold AND every required symbolic rule passed,
 so both the statistical and the logical leg can veto, and every decision
 carries its reasons.
@@ -19,7 +20,10 @@ from .indicators import fit_resistance_line, fit_support_line, realized_volatili
 from .market_data import Series, Window
 from .rule_engine import RuleVerdict
 
-MODEL_FORMAT = 1
+MODEL_FORMAT = 2
+
+EPOCHS = 500
+LEARNING_RATE = 0.1
 
 BASE_FEATURE_NAMES = (
     "predicted_move",
@@ -90,9 +94,6 @@ class GateModel:
     feature_means: tuple[float, ...]
     feature_stds: tuple[float, ...]
     feature_names: tuple[str, ...]
-    epochs: int
-    learning_rate: float
-    seed: int
 
     def __post_init__(self):
         # Inclusive bounds so threshold sweeps can pin the gate fully open/closed.
@@ -137,17 +138,11 @@ def _standardize(X: np.ndarray):
 
 def train(
     dataset,
-    epochs: int = 500,
-    learning_rate: float = 0.1,
-    seed: int = 0,
     threshold: float = 0.5,
     names: tuple[str, ...] | None = None,
 ) -> GateModel:
-    """Fit the logistic gate by full-batch gradient descent from zero weights.
-
-    The seed is recorded for forward compatibility; with zero initialization
-    the fit is already deterministic.
-    """
+    """Fit the logistic gate by EPOCHS full-batch gradient descent steps of
+    size LEARNING_RATE from zero weights, so the fit is deterministic."""
     if not dataset:
         raise TrainingError("empty training dataset")
     X = np.asarray([np.asarray(x, dtype=np.float64) for x, _ in dataset])
@@ -160,14 +155,11 @@ def train(
 
     X_std, means, stds = _standardize(X)
     weights = np.zeros(X.shape[1])
-    for epoch in range(epochs):
+    for epoch in range(EPOCHS):
         loss, grad = log_loss_and_gradient(weights, X_std, y)
         if not np.isfinite(loss):
-            raise TrainingError(
-                f"non-finite loss at epoch {epoch}; lower the learning rate "
-                f"(currently {learning_rate})"
-            )
-        weights -= learning_rate * grad
+            raise TrainingError(f"non-finite loss at epoch {epoch}")
+        weights -= LEARNING_RATE * grad
 
     if names is None:
         names = tuple(f"f{i}" for i in range(X.shape[1]))
@@ -177,9 +169,6 @@ def train(
         feature_means=tuple(float(v) for v in means),
         feature_stds=tuple(float(v) for v in stds),
         feature_names=tuple(names),
-        epochs=epochs,
-        learning_rate=learning_rate,
-        seed=seed,
     )
 
 
@@ -238,11 +227,6 @@ def model_to_json(model: GateModel) -> str:
         "feature_means": list(model.feature_means),
         "feature_stds": list(model.feature_stds),
         "feature_names": list(model.feature_names),
-        "config": {
-            "epochs": model.epochs,
-            "learning_rate": model.learning_rate,
-            "seed": model.seed,
-        },
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -250,16 +234,14 @@ def model_to_json(model: GateModel) -> str:
 def model_from_json(text: str | bytes) -> GateModel:
     payload = json.loads(text)
     fmt = payload.get("format")
-    if fmt != MODEL_FORMAT:
+    # Format 1 files also carry a "config" block with the training schedule;
+    # their scoring fields are the same, so they still load.
+    if fmt not in (1, MODEL_FORMAT):
         raise ValueError(f"unsupported gate model format {fmt!r}")
-    config = payload["config"]
     return GateModel(
         weights=tuple(payload["weights"]),
         threshold=payload["threshold"],
         feature_means=tuple(payload["feature_means"]),
         feature_stds=tuple(payload["feature_stds"]),
         feature_names=tuple(payload["feature_names"]),
-        epochs=config["epochs"],
-        learning_rate=config["learning_rate"],
-        seed=config["seed"],
     )

@@ -7,7 +7,6 @@ short-circuiting) so the trace explains the full decision, pass or fail.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .indicators import candle_geometry, percentile_rank
@@ -86,24 +85,6 @@ class RuleVerdict:
     rule: str
     passed: bool
     trace: tuple[TraceEntry, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "passed": self.passed,
-            "trace": [
-                {
-                    "predicate": e.predicate,
-                    "measured": e.measured,
-                    "threshold": e.threshold,
-                    "passed": e.passed,
-                }
-                for e in self.trace
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def bottoming_tail_rule(lookback: int = DEFAULT_LOOKBACK) -> Rule:

@@ -57,8 +57,7 @@ def test_synthetic_gate_precision_lift():
     lookback, horizon = 30, 5
     series = make_regime_series(1750, lookback, horizon, seed=5)
     cfg = EvalConfig(
-        lookback=lookback, horizon=horizon, stride=1, train_fraction=0.7,
-        threshold=0.5, epochs=600, learning_rate=0.5,
+        lookback=lookback, horizon=horizon, stride=1, train_fraction=0.7, threshold=0.5,
     )
     rules = [regime_flag_rule()]
     gate = train_gate_on_series(series, drift_forecast, rules, cfg)
@@ -152,10 +151,7 @@ def test_gradient_matches_finite_differences():
 def test_threshold_sweep_monotonicity():
     lookback, horizon = 20, 3
     series = make_regime_series(400, lookback, horizon, seed=8)
-    cfg = EvalConfig(
-        lookback=lookback, horizon=horizon, train_fraction=0.5,
-        epochs=300, learning_rate=0.5,
-    )
+    cfg = EvalConfig(lookback=lookback, horizon=horizon, train_fraction=0.5)
     rules = [regime_flag_rule()]
     gate = train_gate_on_series(series, drift_forecast, rules, cfg)
     records = walk_forward(series, drift_forecast, gate, rules, cfg)
@@ -208,8 +204,7 @@ def test_backtest_determinism(tmp_path):
         code = main(
             [
                 "backtest", str(BACKTEST_FIXTURE),
-                "--lookback", "95", "--horizon", "3", "--epochs", "100",
-                "--seed", "0", "--format", "csv",
+                "--lookback", "95", "--horizon", "3", "--format", "csv",
                 "--report-out", str(report_path), "--trace-out", str(trace_path),
             ]
         )

@@ -78,7 +78,7 @@ def test_rules_scan_insufficient_history(tmp_path, capsys):
     assert "insufficient history" in capsys.readouterr().err
 
 
-BT_ARGS = ["--lookback", "95", "--horizon", "3", "--epochs", "100"]
+BT_ARGS = ["--lookback", "95", "--horizon", "3"]
 
 
 def test_backtest_report_rows(tmp_path, capsys):
@@ -127,8 +127,7 @@ def test_backtest_is_deterministic(tmp_path):
         trace_path = tmp_path / f"trace_{run}.csv"
         code = main(
             [
-                "backtest", str(BACKTEST_FIXTURE), *BT_ARGS,
-                "--seed", "0", "--format", "csv",
+                "backtest", str(BACKTEST_FIXTURE), *BT_ARGS, "--format", "csv",
                 "--report-out", str(report_path), "--trace-out", str(trace_path),
             ]
         )
@@ -182,7 +181,7 @@ def test_external_forecaster_roundtrip(tmp_path, capsys, backtest_series):
     from candlegate.evaluation import EvalConfig, _origin_splits
     from candlegate.forecaster import drift_forecast, save_external_forecasts
 
-    cfg = EvalConfig(lookback=95, horizon=3, train_fraction=0.7, epochs=100)
+    cfg = EvalConfig(lookback=95, horizon=3, train_fraction=0.7)
     train_origins, eval_origins = _origin_splits(backtest_series, cfg)
     items = []
     for t in sorted(set(train_origins) | set(eval_origins)):

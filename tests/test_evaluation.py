@@ -38,9 +38,6 @@ def _zero_gate(dim=7, threshold=0.5):
         feature_means=(0.0,) * dim,
         feature_stds=(1.0,) * dim,
         feature_names=tuple(f"f{i}" for i in range(dim)),
-        epochs=0,
-        learning_rate=0.1,
-        seed=0,
     )
 
 
@@ -83,7 +80,7 @@ def test_stride_equal_to_horizon_gives_nonoverlapping_count():
 def test_walk_forward_is_deterministic():
     rng = np.random.default_rng(27)
     series = make_series(rng, 60)
-    cfg = EvalConfig(lookback=10, horizon=3, train_fraction=0.5, epochs=50)
+    cfg = EvalConfig(lookback=10, horizon=3, train_fraction=0.5)
     rules = [regime_flag_rule()]
     r1 = walk_forward(series, drift_forecast, None, rules, cfg)
     r2 = walk_forward(series, drift_forecast, None, rules, cfg)
@@ -286,7 +283,7 @@ def test_forecast_trace_shape_and_join():
 
 def test_apply_threshold_monotone_execution():
     series = make_regime_series(300, lookback=20, horizon=3, seed=3)
-    cfg = EvalConfig(lookback=20, horizon=3, train_fraction=0.5, epochs=300, learning_rate=0.5)
+    cfg = EvalConfig(lookback=20, horizon=3, train_fraction=0.5)
     rules = [regime_flag_rule()]
     gate = train_gate_on_series(series, drift_forecast, rules, cfg)
     records = walk_forward(series, drift_forecast, gate, rules, cfg)
@@ -303,7 +300,7 @@ def test_apply_threshold_monotone_execution():
 
 def test_regime_gate_lifts_precision():
     series = make_regime_series(700, lookback=30, horizon=5, seed=4)
-    cfg = EvalConfig(lookback=30, horizon=5, train_fraction=0.7, epochs=600, learning_rate=0.5)
+    cfg = EvalConfig(lookback=30, horizon=5, train_fraction=0.7)
     rules = [regime_flag_rule()]
     gate = train_gate_on_series(series, drift_forecast, rules, cfg)
     records = walk_forward(series, drift_forecast, gate, rules, cfg)

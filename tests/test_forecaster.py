@@ -14,7 +14,7 @@ from candlegate.forecaster import (
     save_external_forecasts,
 )
 from candlegate.indicators import realized_volatility
-from candlegate.market_data import Candle, Series, parse_csv, serialize_csv
+from candlegate.market_data import Candle, ParseError, Series, parse_csv, serialize_csv
 
 from conftest import make_series, make_window
 from oracles import least_squares_line
@@ -189,6 +189,41 @@ def test_load_external_ungrouped_rows():
         "2024-01-10,2,103.5\n"
     )
     with pytest.raises(ValueError, match="grouped"):
+        load_external_forecasts(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("origin,step,close\n2024-01-10,1,101.5\n", "line 1: expected header"),
+        ("origin_timestamp,step,predicted_close\n2024-01-10,1\n", "line 2: expected 3 fields"),
+        ("origin_timestamp,step,predicted_close\n2024-13-40,1,101.5\n", "line 2: timestamp"),
+        ("origin_timestamp,step,predicted_close\n2024-01-10,1.5,101.5\n", "line 2: step '1.5'"),
+        ("origin_timestamp,step,predicted_close\n2024-01-10,1,abc\n", "line 2: non-numeric"),
+        ("origin_timestamp,step,predicted_close\n2024-01-10,1,nan\n", "line 2: non-finite"),
+        (
+            "origin_timestamp,step,predicted_close,lower,upper\n"
+            "2024-01-10,1,101.5,100.5,102.5\n2024-01-10,2,101.5,-inf,102.5\n",
+            "line 3: non-finite",
+        ),
+        (
+            "origin_timestamp,step,predicted_close,lower,upper\n"
+            "2024-01-10,1,101.5,100.5,nan\n",
+            "line 2: non-finite",
+        ),
+        (
+            "origin_timestamp,step,predicted_close\n"
+            "2024-01-10,1,101.5\n2024-01-11,1,102.5\n2024-01-10,2,103.5\n",
+            "line 4: rows for origin 2024-01-10 are not grouped",
+        ),
+    ],
+    ids=[
+        "header", "field_count", "timestamp", "step", "non_numeric",
+        "nan_close", "inf_lower", "nan_upper", "ungrouped",
+    ],
+)
+def test_load_external_rejects_bad_rows_with_line(text, message):
+    with pytest.raises(ParseError, match=message):
         load_external_forecasts(text)
 
 

@@ -63,6 +63,16 @@ def test_parse_rejects_mixed_timestamp_formats():
         parse_csv(text)
 
 
+@pytest.mark.parametrize("second_day", ["2025-07-09", "2025-07-07"])
+def test_parse_rejects_unordered_timestamps_with_line(second_day):
+    text = (
+        f"{HEADER}\n2025-07-08,100,101,99,100,1\n2025-07-09,100,101,99,100,1\n"
+        f"{second_day},100,101,99,100,1\n"
+    )
+    with pytest.raises(ParseError, match="line 4.*strictly increasing"):
+        parse_csv(text)
+
+
 def test_parse_accepts_crlf():
     text = f"{HEADER}\r\n2025-07-08,100,101,99,100,1\r\n"
     assert len(parse_csv(text)) == 1

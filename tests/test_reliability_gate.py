@@ -44,9 +44,6 @@ def _model(weights, threshold=0.5):
         feature_means=(0.0,) * dim,
         feature_stds=(1.0,) * dim,
         feature_names=tuple(f"f{i}" for i in range(dim)),
-        epochs=0,
-        learning_rate=0.1,
-        seed=0,
     )
 
 
@@ -125,7 +122,7 @@ def _separable_dataset(n=50):
 
 def test_train_separates_linearly_separable_data():
     dataset = _separable_dataset()
-    model = train(dataset, epochs=500, learning_rate=0.1)
+    model = train(dataset)
     correct = sum(
         (score(model, x) >= 0.5) == bool(y) for x, y in dataset
     )
@@ -266,16 +263,48 @@ def test_raising_threshold_never_enables_execution():
 
 def test_model_json_roundtrip():
     dataset = _separable_dataset()
-    model = train(dataset, epochs=50, learning_rate=0.1, names=("x", "bias"))
+    model = train(dataset, names=("x", "bias"))
     text = model_to_json(model)
     payload = json.loads(text)
-    assert payload["format"] == 1
+    assert payload["format"] == 2
     assert model_from_json(text) == model
+
+
+FORMAT_1_GATE = """{
+  "format": 1,
+  "weights": [1.5, -0.25],
+  "threshold": 0.6,
+  "feature_means": [0.5, 0.0],
+  "feature_stds": [2.0, 1.0],
+  "feature_names": ["x", "bias"],
+  "config": {
+    "epochs": 500,
+    "learning_rate": 0.1,
+    "seed": 0
+  }
+}
+"""
+
+
+def test_model_json_format_1_still_loads():
+    loaded = model_from_json(FORMAT_1_GATE)
+    expected = GateModel(
+        weights=(1.5, -0.25),
+        threshold=0.6,
+        feature_means=(0.5, 0.0),
+        feature_stds=(2.0, 1.0),
+        feature_names=("x", "bias"),
+    )
+    assert loaded == expected
+    for x0 in (-3.0, 0.5, 2.0):
+        x = np.array([x0, 1.0])
+        assert score(loaded, x) == score(expected, x)
+    assert model_from_json(model_to_json(loaded)) == expected
 
 
 def test_model_json_rejects_unknown_format():
     dataset = _separable_dataset()
-    model = train(dataset, epochs=5)
+    model = train(dataset)
     payload = json.loads(model_to_json(model))
     payload["format"] = 99
     with pytest.raises(ValueError, match="format"):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -156,15 +154,6 @@ def test_explain_format_failure():
     lines = explain(verdict)
     assert any(line.startswith("FAIL volume_in_top_10pct") for line in lines)
     assert lines[-1] == "bottoming_tail_candle: FAIL"
-
-
-def test_verdict_json_shape():
-    series = _all_pass_series()
-    verdict = evaluate_rule(bottoming_tail_rule(), series.window(0, len(series)))
-    payload = json.loads(verdict.to_json())
-    assert list(payload.keys()) == ["rule", "passed", "trace"]
-    assert list(payload["trace"][0].keys()) == ["predicate", "measured", "threshold", "passed"]
-    assert payload["passed"] is True
 
 
 def test_predicate_validation():
