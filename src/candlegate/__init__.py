@@ -14,9 +14,7 @@ from .market_data import (
     ValidationError,
     Window,
     parse_csv,
-    pct_return,
     serialize_csv,
-    validate,
 )
 from .indicators import (
     CandleGeometry,

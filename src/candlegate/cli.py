@@ -48,6 +48,25 @@ DEFAULTS = {
 }
 
 CONFIG_KEYS = tuple(DEFAULTS)
+FORMATS = ("table", "json", "csv")
+
+
+def _check_config_value(key: str, value) -> None:
+    """Reject a config-file value whose type differs from that of its default."""
+    default = DEFAULTS[key]
+    if isinstance(default, tuple):
+        kind = "list of str"
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    else:
+        # A float key also takes an int. JSON true/false load as bool, a
+        # subclass of int, and are rejected.
+        kind = type(default).__name__
+        ok = isinstance(value, (int, float) if kind == "float" else type(default))
+        ok = ok and not isinstance(value, bool)
+    if not ok:
+        raise ValueError(f"config file key {key!r} must be of type {kind}, got {value!r}")
+    if key == "format" and value not in FORMATS:
+        raise ValueError(f"config file key 'format' must be one of {list(FORMATS)}, got {value!r}")
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -56,9 +75,13 @@ def _merge_config(args: argparse.Namespace) -> dict:
     config_path = getattr(args, "config", None)
     if config_path:
         file_config = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        if not isinstance(file_config, dict):
+            raise ValueError("config file must hold a JSON object")
         unknown = set(file_config) - set(CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config file keys: {sorted(unknown)}")
+        for key, value in file_config.items():
+            _check_config_value(key, value)
         merged.update(file_config)
     for key in CONFIG_KEYS:
         value = getattr(args, key, None)
@@ -89,7 +112,7 @@ def _resolve_forecaster(name: str, coverage: float, series: Series):
         by_ts = {ts: f for ts, f in loaded}
 
         def external(w: Window, horizon: int):
-            ts = w.series.candles[w.end - 1].timestamp
+            ts = int(w.series.timestamps[w.end - 1])
             forecast = by_ts.get(ts)
             if forecast is None:
                 label = format_timestamp(ts, series.timestamp_format)
@@ -139,7 +162,7 @@ def cmd_rules_scan(args) -> int:
             matches += 1
         if verdict.passed or args.all:
             index = end - 1
-            ts = format_timestamp(series.candles[index].timestamp, series.timestamp_format)
+            ts = format_timestamp(int(series.timestamps[index]), series.timestamp_format)
             print(f"candle {index} ({ts})")
             for line in explain(verdict):
                 print(f"  {line}")
@@ -154,7 +177,7 @@ def cmd_forecast(args) -> int:
     forecaster = _resolve_forecaster(cfg["model"], cfg["coverage"], series)
     w = _trailing_window(series, cfg["lookback"])
     forecast = forecaster(w, cfg["horizon"])
-    ts = series.candles[w.end - 1].timestamp
+    ts = int(series.timestamps[w.end - 1])
     _emit(save_external_forecasts([(ts, forecast)], series.timestamp_format), args.out)
     return 0
 
@@ -285,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gate-model", dest="gate_model", help="pre-trained gate model JSON")
     p.add_argument("--report-out", dest="report_out", help="write the metrics report here")
     p.add_argument("--trace-out", dest="trace_out", help="write the forecast trace CSV here")
-    p.add_argument("--format", choices=("table", "json", "csv"), help="report file format")
+    p.add_argument("--format", choices=FORMATS, help="report file format")
     _add_config_flags(p, gate=True)
     p.set_defaults(func=cmd_backtest)
 
@@ -302,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="re-render a saved report (JSON or CSV)")
     p.add_argument("rows", help="report file produced by backtest")
     p.add_argument("--out", help="write here instead of stdout")
-    p.add_argument("--format", choices=("table", "json", "csv"))
+    p.add_argument("--format", choices=FORMATS)
     p.add_argument("--config")
     p.set_defaults(func=cmd_report)
 

@@ -146,12 +146,12 @@ def walk_forward(
         forecast, verdicts, x = _origin_inputs(series, origin, forecaster, rules, cfg)
         s = score(gate, x)
         decision = decide(s, gate, list(verdicts), cfg.required_rules)
-        origin_close = series.candles[origin].close
-        realized_close = series.candles[origin + cfg.horizon].close
+        origin_close = float(series.closes[origin])
+        realized_close = float(series.closes[origin + cfg.horizon])
         records.append(
             EvalRecord(
                 origin_index=origin,
-                origin_timestamp=series.candles[origin].timestamp,
+                origin_timestamp=int(series.timestamps[origin]),
                 predicted=direction_of(forecast, origin_close),
                 realized=Side.UP if realized_close > origin_close else Side.DOWN,
                 decision=decision,
@@ -342,6 +342,7 @@ def parse_report_json(text: str | bytes) -> list[MetricsRow]:
 def emit_forecast_trace(records: list[EvalRecord], series: Series) -> str:
     """Long-format, plot-ready CSV: one row per record per forecast step."""
     lines = [TRACE_CSV_HEADER]
+    closes = series.closes.tolist()
     for r in records:
         ts = format_timestamp(r.origin_timestamp, series.timestamp_format)
         executed = "true" if r.decision.executed else "false"
@@ -349,6 +350,6 @@ def emit_forecast_trace(records: list[EvalRecord], series: Series) -> str:
             step = k + 1
             lower = repr(r.forecast.lower[k]) if r.forecast.lower is not None else ""
             upper = repr(r.forecast.upper[k]) if r.forecast.upper is not None else ""
-            actual = repr(series.candles[r.origin_index + step].close)
+            actual = repr(closes[r.origin_index + step])
             lines.append(f"{ts},{step},{predicted!r},{lower},{upper},{actual},{executed}")
     return "\n".join(lines) + "\n"

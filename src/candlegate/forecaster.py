@@ -198,12 +198,11 @@ def load_external_forecasts(
             raise ParseError(f"origin {label}: steps must be contiguous from 1, got {got}", line=lineno)
         origin_index = -1
         if series is not None:
-            idx = series.index_of_timestamp(ts)
-            if idx is None:
+            origin_index = int(np.searchsorted(series.timestamps, ts))
+            if ts not in series.timestamps[origin_index : origin_index + 1]:
                 raise ParseError(
                     f"origin {label} not present in series {series.symbol!r}", line=lineno
                 )
-            origin_index = idx
         path = tuple(v[0] for _, v in steps)
         lower = upper = None
         if has_interval:

@@ -1,4 +1,4 @@
-"""OHLCV market data: parsing, validation, windowing, and returns.
+"""OHLCV market data: parsing, the columnar series and its windows.
 
 The CSV contract is a header-first file with the exact header
 ``timestamp,open,high,low,close,volume``.  Timestamps are accepted either
@@ -12,9 +12,11 @@ from __future__ import annotations
 import calendar
 import csv
 import io
+from array import array
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
-from functools import cached_property
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +24,8 @@ CSV_HEADER = "timestamp,open,high,low,close,volume"
 
 TS_ISO = "iso"
 TS_EPOCH = "epoch"
+
+_INT64_RANGE = range(-(2**63), 2**63)
 
 
 class ParseError(ValueError):
@@ -35,18 +39,21 @@ class ParseError(ValueError):
 
 
 class ValidationError(ValueError):
-    """A candle or series invariant does not hold; ``index`` is the 0-based candle."""
+    """A candle or series invariant does not hold; ``index`` is the 0-based candle.
+
+    ``reason`` is the message without the candle prefix.
+    """
 
     def __init__(self, message: str, index: int | None = None):
         self.index = index
+        self.reason = message
         if index is not None:
             message = f"candle {index}: {message}"
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Candle:
-    """One OHLCV bar. Timestamp is epoch seconds (UTC midnight for date input)."""
+class Candle(NamedTuple):
+    """One OHLCV row. Timestamp is epoch seconds (UTC midnight for date input)."""
 
     timestamp: int
     open: float
@@ -55,69 +62,96 @@ class Candle:
     close: float
     volume: float
 
-    def invariant_violation(self) -> str | None:
-        """Return a description of the first violated invariant, or None."""
-        if not all(
-            np.isfinite(v) for v in (self.open, self.high, self.low, self.close, self.volume)
-        ):
-            return "all fields must be finite"
-        if self.open <= 0 or self.high <= 0 or self.low <= 0 or self.close <= 0:
-            return "all prices must be > 0"
-        if self.volume < 0:
-            return "volume must be >= 0"
-        if self.low > self.high:
-            return "low must be <= high"
-        if self.low > min(self.open, self.close):
-            return "low must be <= min(open, close)"
-        if self.high < max(self.open, self.close):
-            return "high must be >= max(open, close)"
+
+_COLUMNS = ("timestamps", "opens", "highs", "lows", "closes", "volumes")
+
+
+def _first_violation(ts, o, h, l, c, v) -> tuple[int, str] | None:
+    """(index, message) of the earliest candle that breaks an invariant, or None.
+
+    This is the one statement of the candle invariants.  At one candle the
+    checks are reported in the order listed.
+    """
+    prices = np.stack((o, h, l, c))
+    checks = (
+        ("all fields must be finite", ~np.isfinite(np.vstack((prices, v))).all(axis=0)),
+        ("all prices must be > 0", (prices <= 0).any(axis=0)),
+        ("volume must be >= 0", v < 0),
+        ("low must be <= high", l > h),
+        ("low must be <= min(open, close)", l > np.minimum(o, c)),
+        ("high must be >= max(open, close)", h < np.maximum(o, c)),
+        ("timestamps must be strictly increasing ({} after {})",
+         np.concatenate(([False], ts[1:] <= ts[:-1]))),
+    )
+    faults = np.stack([mask for _, mask in checks])
+    faulty = faults.any(axis=0)
+    if not faulty.any():
         return None
+    i = int(faulty.argmax())
+    message = checks[int(faults[:, i].argmax())][0]
+    return i, message.format(int(ts[i]), int(ts[i - 1]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Series:
-    """Immutable, time-ordered OHLCV series for one symbol."""
+    """Immutable, time-ordered OHLCV series for one symbol, held as read-only columns.
+
+    Construction copies the columns and checks every invariant, raising
+    ValidationError at the earliest faulty candle, so every Series is valid.
+    Series compare by identity.
+    """
 
     symbol: str
-    candles: tuple[Candle, ...]
+    timestamps: np.ndarray
+    opens: np.ndarray
+    highs: np.ndarray
+    lows: np.ndarray
+    closes: np.ndarray
+    volumes: np.ndarray
     timestamp_format: str = TS_ISO
 
+    def __post_init__(self):
+        for name in _COLUMNS:
+            dtype = np.int64 if name == "timestamps" else np.float64
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        shapes = sorted({column.shape for column in self.columns})
+        if len(shapes) != 1 or len(shapes[0]) != 1:
+            raise ValidationError(f"columns must be 1-d and of equal length, got shapes {shapes}")
+        if len(self) == 0:
+            raise ValidationError("series is empty")
+        violation = _first_violation(*self.columns)
+        if violation is not None:
+            raise ValidationError(violation[1], index=violation[0])
+
+    @classmethod
+    def from_rows(cls, symbol: str, rows, timestamp_format: str = TS_ISO) -> "Series":
+        """Series from (timestamp, open, high, low, close, volume) rows.
+
+        If iterating ``rows`` raises ValueError, the rows read so far are checked
+        first, so an invariant violation at an earlier row is reported instead.
+        """
+        columns = [array("q"), *(array("d") for _ in range(5))]
+        try:
+            for ts, o, h, l, c, v in rows:
+                for column, value in zip(columns, (ts, o, h, l, c, v)):
+                    column.append(value)
+        except ValueError:
+            if len(columns[0]):
+                cls(symbol, *columns, timestamp_format)
+            raise
+        return cls(symbol, *columns, timestamp_format)
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, name) for name in _COLUMNS)
+
     def __len__(self) -> int:
-        return len(self.candles)
-
-    @cached_property
-    def timestamps(self) -> np.ndarray:
-        return np.array([c.timestamp for c in self.candles], dtype=np.int64)
-
-    @cached_property
-    def opens(self) -> np.ndarray:
-        return np.array([c.open for c in self.candles], dtype=np.float64)
-
-    @cached_property
-    def highs(self) -> np.ndarray:
-        return np.array([c.high for c in self.candles], dtype=np.float64)
-
-    @cached_property
-    def lows(self) -> np.ndarray:
-        return np.array([c.low for c in self.candles], dtype=np.float64)
-
-    @cached_property
-    def closes(self) -> np.ndarray:
-        return np.array([c.close for c in self.candles], dtype=np.float64)
-
-    @cached_property
-    def volumes(self) -> np.ndarray:
-        return np.array([c.volume for c in self.candles], dtype=np.float64)
+        return len(self.timestamps)
 
     def window(self, start: int, end: int) -> "Window":
         return Window(self, start, end)
-
-    def index_of_timestamp(self, timestamp: int) -> int | None:
-        """Index of the candle with this exact timestamp, or None."""
-        pos = int(np.searchsorted(self.timestamps, timestamp))
-        if pos < len(self) and self.candles[pos].timestamp == timestamp:
-            return pos
-        return None
 
 
 @dataclass(frozen=True)
@@ -139,16 +173,12 @@ class Window:
         return self.end - self.start
 
     @property
-    def candles(self) -> tuple[Candle, ...]:
-        return self.series.candles[self.start : self.end]
-
-    @property
     def last(self) -> Candle:
-        return self.series.candles[self.end - 1]
-
-    @property
-    def opens(self) -> np.ndarray:
-        return self.series.opens[self.start : self.end]
+        s, i = self.series, self.end - 1
+        return Candle(
+            int(s.timestamps[i]), float(s.opens[i]), float(s.highs[i]),
+            float(s.lows[i]), float(s.closes[i]), float(s.volumes[i]),
+        )
 
     @property
     def highs(self) -> np.ndarray:
@@ -162,10 +192,6 @@ class Window:
     def closes(self) -> np.ndarray:
         return self.series.closes[self.start : self.end]
 
-    @property
-    def volumes(self) -> np.ndarray:
-        return self.series.volumes[self.start : self.end]
-
 
 def _parse_timestamp(text: str) -> tuple[int, str]:
     """Parse an ISO date or integer epoch seconds; return (epoch, flavour)."""
@@ -173,9 +199,13 @@ def _parse_timestamp(text: str) -> tuple[int, str]:
     if not text:
         raise ValueError("empty timestamp")
     try:
-        return int(text), TS_EPOCH
+        epoch = int(text)
     except ValueError:
         pass
+    else:
+        if epoch not in _INT64_RANGE:
+            raise ValueError(f"timestamp {text!r} is out of the 64-bit range")
+        return epoch, TS_EPOCH
     try:
         day = date.fromisoformat(text)
     except ValueError:
@@ -189,39 +219,20 @@ def format_timestamp(timestamp: int, flavour: str) -> str:
     return datetime.fromtimestamp(timestamp, tz=timezone.utc).date().isoformat()
 
 
-def parse_csv(text: str | bytes, symbol: str = "") -> Series:
-    """Parse OHLCV CSV text into a validated Series.
+def _data_rows(records, flavour: str, lines: array):
+    """Yield one (timestamp, open, high, low, close, volume) row per CSV record.
 
-    Every candle and ordering invariant is checked once, as its row is read,
-    and a violation raises ParseError with the line number.
+    Each row's line number is appended to ``lines``; a malformed row raises
+    ParseError with its line number.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    text = text.lstrip("﻿")
-    if not text.strip():
-        raise ParseError("empty input: no header or data rows")
-
-    reader = csv.reader(io.StringIO(text))
-    rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
-    header = ",".join(f.strip() for f in rows[0][1])
-    if header != CSV_HEADER:
-        raise ParseError(f"expected header {CSV_HEADER!r}, got {header!r}", line=rows[0][0])
-    data_rows = rows[1:]
-    if not data_rows:
-        raise ParseError("empty input: header but no data rows")
-
-    candles = []
-    flavour = None
-    for lineno, row in data_rows:
+    for lineno, row in records:
         if len(row) != 6:
             raise ParseError(f"expected 6 fields, got {len(row)}", line=lineno)
         try:
             ts, row_flavour = _parse_timestamp(row[0])
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
-        if flavour is None:
-            flavour = row_flavour
-        elif flavour != row_flavour:
+        if row_flavour != flavour:
             raise ParseError(
                 f"inconsistent timestamp format ({row_flavour!r} after {flavour!r})",
                 line=lineno,
@@ -230,55 +241,49 @@ def parse_csv(text: str | bytes, symbol: str = "") -> Series:
             o, h, l, c, v = (float(f) for f in row[1:])
         except ValueError:
             raise ParseError(f"non-numeric field in {row[1:]!r}", line=lineno) from None
-        candle = Candle(ts, o, h, l, c, v)
-        violation = candle.invariant_violation()
-        if violation is not None:
-            raise ParseError(violation, line=lineno)
-        if candles and ts <= candles[-1].timestamp:
-            raise ParseError(
-                f"timestamps must be strictly increasing "
-                f"({ts} after {candles[-1].timestamp})",
-                line=lineno,
-            )
-        candles.append(candle)
-
-    return Series(symbol=symbol, candles=tuple(candles), timestamp_format=flavour)
+        lines.append(lineno)
+        yield ts, o, h, l, c, v
 
 
-def validate(series: Series) -> Series:
-    """Check all candle invariants and strict timestamp ordering; identity on success."""
-    if len(series) == 0:
-        raise ValidationError("series is empty")
-    prev_ts = None
-    for i, candle in enumerate(series.candles):
-        violation = candle.invariant_violation()
-        if violation is not None:
-            raise ValidationError(violation, index=i)
-        if prev_ts is not None and candle.timestamp <= prev_ts:
-            raise ValidationError(
-                f"timestamps must be strictly increasing "
-                f"({candle.timestamp} after {prev_ts})",
-                index=i,
-            )
-        prev_ts = candle.timestamp
-    return series
+def parse_csv(text: str | bytes, symbol: str = "") -> Series:
+    """Parse OHLCV CSV text into a Series, streaming its rows into columns.
+
+    A malformed row or a violated candle or ordering invariant raises
+    ParseError with the line number of the earliest faulty row.
+    """
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    text = text.lstrip("﻿")
+    if not text.strip():
+        raise ParseError("empty input: no header or data rows")
+
+    reader = csv.reader(io.StringIO(text))
+    records = ((lineno, row) for lineno, row in enumerate(reader, start=1) if row)
+    header_line, header_row = next(records)
+    header = ",".join(f.strip() for f in header_row)
+    if header != CSV_HEADER:
+        raise ParseError(f"expected header {CSV_HEADER!r}, got {header!r}", line=header_line)
+    first = next(records, None)
+    if first is None:
+        raise ParseError("empty input: header but no data rows")
+
+    # The first row fixes the timestamp flavour; if its timestamp is
+    # malformed, _data_rows rejects that row before the flavour matters.
+    try:
+        _, flavour = _parse_timestamp(first[1][0])
+    except ValueError:
+        flavour = TS_ISO
+    lines = array("q")
+    rows = _data_rows(chain((first,), records), flavour, lines)
+    try:
+        return Series.from_rows(symbol, rows, flavour)
+    except ValidationError as exc:
+        raise ParseError(exc.reason, line=lines[exc.index]) from None
 
 
 def serialize_csv(series: Series) -> str:
-    """Inverse of parse_csv: emits LF-terminated CSV that reparses to an equal series."""
+    """Inverse of parse_csv: emits LF-terminated CSV that reparses to equal columns."""
     lines = [CSV_HEADER]
-    for c in series.candles:
-        ts = format_timestamp(c.timestamp, series.timestamp_format)
-        lines.append(f"{ts},{c.open!r},{c.high!r},{c.low!r},{c.close!r},{c.volume!r}")
+    for ts, *values in zip(*(column.tolist() for column in series.columns)):
+        lines.append(",".join([format_timestamp(ts, series.timestamp_format), *map(repr, values)]))
     return "\n".join(lines) + "\n"
-
-
-def pct_return(series: Series, i: int, j: int) -> float:
-    """Fractional close-to-close return from index i to j (i < j)."""
-    n = len(series)
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"indices ({i}, {j}) out of range for length {n}")
-    if i >= j:
-        raise ValueError(f"need i < j, got i={i}, j={j}")
-    start = series.candles[i].close
-    return (series.candles[j].close - start) / start

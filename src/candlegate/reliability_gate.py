@@ -11,7 +11,7 @@ carries its reasons.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .market_data import Series, Window
 from .rule_engine import RuleVerdict
 
 MODEL_FORMAT = 2
+_NUMBER = (int, float)
 
 EPOCHS = 500
 LEARNING_RATE = 0.1
@@ -82,8 +83,8 @@ def meta_label(forecast: Forecast, realized: Series) -> int:
             f"series of length {len(realized)} does not cover origin {origin} "
             f"plus horizon {forecast.horizon}"
         )
-    origin_close = realized.candles[origin].close
-    realized_side = Side.UP if realized.candles[end].close > origin_close else Side.DOWN
+    origin_close = float(realized.closes[origin])
+    realized_side = Side.UP if realized.closes[end] > origin_close else Side.DOWN
     return int(direction_of(forecast, origin_close) == realized_side)
 
 
@@ -99,8 +100,19 @@ class GateModel:
         # Inclusive bounds so threshold sweeps can pin the gate fully open/closed.
         if not (0.0 <= self.threshold <= 1.0):
             raise ValueError(f"threshold must be in [0, 1], got {self.threshold}")
+        lengths = tuple(map(len, (self.weights, self.feature_means, self.feature_stds,
+                                  self.feature_names)))
+        if len(set(lengths)) != 1:
+            raise ValueError(
+                f"weights, feature means, feature stds and feature names differ in length {lengths}"
+            )
         if not all(np.isfinite(self.weights)):
             raise ValueError("model weights must be finite")
+        if not all(np.isfinite(self.feature_means)):
+            raise ValueError("feature means must be finite")
+        # A zero std would turn every score into NaN, and NaN never clears the threshold.
+        if not all(np.isfinite(s) and s > 0 for s in self.feature_stds):
+            raise ValueError("feature stds must be finite and > 0")
 
     @property
     def dim(self) -> int:
@@ -220,28 +232,39 @@ def decide(
 
 
 def model_to_json(model: GateModel) -> str:
-    payload = {
-        "format": MODEL_FORMAT,
-        "weights": list(model.weights),
-        "threshold": model.threshold,
-        "feature_means": list(model.feature_means),
-        "feature_stds": list(model.feature_stds),
-        "feature_names": list(model.feature_names),
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps({"format": MODEL_FORMAT, **asdict(model)}, indent=2) + "\n"
+
+
+def _has_kind(value, kind) -> bool:
+    # JSON true/false load as bool, which Python counts as an int.
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _json_list(payload: dict, key: str, kind, noun: str) -> tuple:
+    values = payload[key]
+    if not (isinstance(values, list) and all(_has_kind(v, kind) for v in values)):
+        raise ValueError(f"gate model {key!r} must be a list of {noun}")
+    return tuple(values)
 
 
 def model_from_json(text: str | bytes) -> GateModel:
+    """Load a gate model; a malformed file raises ValueError naming the fault."""
     payload = json.loads(text)
-    fmt = payload.get("format")
+    fmt = payload.get("format") if isinstance(payload, dict) else None
     # Format 1 files also carry a "config" block with the training schedule;
     # their scoring fields are the same, so they still load.
     if fmt not in (1, MODEL_FORMAT):
         raise ValueError(f"unsupported gate model format {fmt!r}")
+    missing = [f.name for f in fields(GateModel) if f.name not in payload]
+    if missing:
+        raise ValueError(f"gate model JSON is missing {', '.join(missing)}")
+    threshold = payload["threshold"]
+    if not _has_kind(threshold, _NUMBER):
+        raise ValueError(f"gate model 'threshold' must be a number, got {threshold!r}")
     return GateModel(
-        weights=tuple(payload["weights"]),
-        threshold=payload["threshold"],
-        feature_means=tuple(payload["feature_means"]),
-        feature_stds=tuple(payload["feature_stds"]),
-        feature_names=tuple(payload["feature_names"]),
+        weights=_json_list(payload, "weights", _NUMBER, "numbers"),
+        threshold=threshold,
+        feature_means=_json_list(payload, "feature_means", _NUMBER, "numbers"),
+        feature_stds=_json_list(payload, "feature_stds", _NUMBER, "numbers"),
+        feature_names=_json_list(payload, "feature_names", str, "strings"),
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .indicators import candle_geometry, percentile_rank
-from .market_data import Window
+from .market_data import Candle, Window
 
 LOWEST_IN_WINDOW = "lowest_in_window"
 SIZE_TOP_PCT = "size_top_pct"
@@ -103,10 +103,9 @@ def bottoming_tail_rule(lookback: int = DEFAULT_LOOKBACK) -> Rule:
     )
 
 
-def _evaluate_predicate(p: Predicate, w: Window) -> TraceEntry:
+def _evaluate_predicate(p: Predicate, w: Window, candle: Candle) -> TraceEntry:
     # Each predicate sees the trailing `lookback` candles, inclusive of the
     # candle under test (the window's last candle).
-    candle = w.last
     lo = w.end - p.lookback
     geo = candle_geometry(candle)
 
@@ -157,7 +156,8 @@ def evaluate_rule(rule: Rule, w: Window) -> RuleVerdict:
         raise InsufficientHistoryError(
             f"rule {rule.name!r} needs {rule.max_lookback} candles, window has {len(w)}"
         )
-    trace = tuple(_evaluate_predicate(p, w) for p in rule.predicates)
+    candle = w.last
+    trace = tuple(_evaluate_predicate(p, w, candle) for p in rule.predicates)
     return RuleVerdict(rule=rule.name, passed=all(e.passed for e in trace), trace=trace)
 
 

@@ -22,18 +22,14 @@ def make_series(rng: np.random.Generator, n: int, start_price: float = 100.0) ->
     highs = body_high * (1.0 + rng.uniform(0.0, 0.01, size=n))
     lows = body_low * (1.0 - rng.uniform(0.0, 0.01, size=n))
     volumes = rng.uniform(1.0, 1000.0, size=n)
-    candles = tuple(
-        Candle(
-            timestamp=1_600_000_000 + 86_400 * i,
-            open=float(opens[i]),
-            high=float(highs[i]),
-            low=float(lows[i]),
-            close=float(closes[i]),
-            volume=float(volumes[i]),
-        )
-        for i in range(n)
-    )
-    return Series(symbol="RAND", candles=candles, timestamp_format="epoch")
+    timestamps = [1_600_000_000 + 86_400 * i for i in range(n)]
+    rows = zip(timestamps, opens.tolist(), highs.tolist(), lows.tolist(), closes.tolist(), volumes.tolist())
+    return Series.from_rows("RAND", rows, "epoch")
+
+
+def candle_rows(series: Series) -> list[Candle]:
+    """The series as a list of Candle rows of Python ints and floats."""
+    return [Candle(*row) for row in zip(*(column.tolist() for column in series.columns))]
 
 
 def make_window(rng: np.random.Generator, n: int):

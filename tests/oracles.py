@@ -6,6 +6,8 @@ into candlegate, so a bug in the engine cannot hide in its own oracle.
 
 from __future__ import annotations
 
+import math
+
 
 def brute_force_bottoming_tail(candles, lookback: int = 90):
     """Re-derivation of the bottoming-tail criteria from first principles.
@@ -69,3 +71,41 @@ def confusion_counts(pairs, positive):
             else:
                 tn += 1
     return tp, fp, tn, fn
+
+
+def candle_violation(o, h, l, c, v):
+    """First violated candle invariant of one row, in the engine's order, or None."""
+    if not all(math.isfinite(x) for x in (o, h, l, c, v)):
+        return "all fields must be finite"
+    if o <= 0 or h <= 0 or l <= 0 or c <= 0:
+        return "all prices must be > 0"
+    if v < 0:
+        return "volume must be >= 0"
+    if l > h:
+        return "low must be <= high"
+    if l > min(o, c):
+        return "low must be <= min(open, close)"
+    if h < max(o, c):
+        return "high must be >= max(open, close)"
+    return None
+
+
+def first_row_fault(rows):
+    """(index, message) of the first faulty data row, checked one row at a time.
+
+    `rows` holds (timestamp, cells) pairs: an int timestamp and the five
+    open/high/low/close/volume strings.  Returns None when every row is valid.
+    """
+    prev = None
+    for i, (ts, cells) in enumerate(rows):
+        try:
+            values = [float(x) for x in cells]
+        except ValueError:
+            return i, f"non-numeric field in {list(cells)!r}"
+        violation = candle_violation(*values)
+        if violation is not None:
+            return i, violation
+        if prev is not None and ts <= prev:
+            return i, f"timestamps must be strictly increasing ({ts} after {prev})"
+        prev = ts
+    return None

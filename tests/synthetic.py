@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from candlegate.forecaster import Side, direction_of, drift_forecast
-from candlegate.market_data import Candle, Series
+from candlegate.market_data import Series
 from candlegate.rule_engine import TAIL_MIN_FRACTION, Predicate, Rule
 
 
@@ -33,10 +33,10 @@ def make_regime_series(
 
     # Closes fully determine the drift forecasts and realized directions, so
     # correctness can be computed before the candles are shaped.
-    plain = Series(
+    plain = Series.from_rows(
         "REGIME",
-        tuple(
-            Candle(86_400 * i, float(c), float(c) * 1.001, float(c) * 0.999, float(c), 100.0)
+        (
+            (86_400 * i, float(c), float(c) * 1.001, float(c) * 0.999, float(c), 100.0)
             for i, c in enumerate(closes)
         ),
         "epoch",
@@ -49,12 +49,12 @@ def make_regime_series(
         realized = Side.UP if closes[t + horizon] > closes[t] else Side.DOWN
         correct[t] = predicted == realized
 
-    candles = []
+    rows = []
     for i, c in enumerate(closes):
         c = float(c)
         if correct.get(i, False):
             low, high = c - 0.008 * c, c + 0.002 * c   # tail fraction 0.8
         else:
             low, high = c - 0.001 * c, c + 0.009 * c   # tail fraction 0.1
-        candles.append(Candle(86_400 * i, c, high, low, c, 100.0))
-    return Series("REGIME", tuple(candles), "epoch")
+        rows.append((86_400 * i, c, high, low, c, 100.0))
+    return Series.from_rows("REGIME", rows, "epoch")

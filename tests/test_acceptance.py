@@ -29,7 +29,7 @@ from candlegate.prompt_prefix import BITCOIN_DOMAIN, PromptConfig, build_prompt
 from candlegate.reliability_gate import log_loss_and_gradient
 from candlegate.rule_engine import bottoming_tail_rule, evaluate_rule
 
-from conftest import BACKTEST_FIXTURE, make_series, make_window
+from conftest import BACKTEST_FIXTURE, candle_rows, make_series, make_window
 from oracles import brute_force_bottoming_tail
 from synthetic import make_regime_series, regime_flag_rule
 
@@ -97,7 +97,7 @@ def test_rule_engine_matches_brute_force_oracle():
     for _ in range(1000):
         series = make_series(rng, 90)
         verdict = evaluate_rule(rule, series.window(0, 90))
-        rows = [(c.open, c.high, c.low, c.close, c.volume) for c in series.candles]
+        rows = [c[1:] for c in candle_rows(series)]
         expected = brute_force_bottoming_tail(rows)
         if [e.passed for e in verdict.trace] != expected:
             disagreements += 1

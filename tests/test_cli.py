@@ -175,6 +175,38 @@ def test_train_gate_and_reuse(tmp_path, capsys):
     assert code == 0
 
 
+def _gate_payload(**changes):
+    payload = {
+        "format": 2,
+        "weights": [0.0] * 8,
+        "threshold": 0.5,
+        "feature_means": [0.0] * 8,
+        "feature_stds": [1.0] * 8,
+        "feature_names": [f"f{i}" for i in range(8)],
+    }
+    payload.update(changes)
+    return {k: v for k, v in payload.items() if v is not None}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (_gate_payload(feature_stds=None), "missing feature_stds"),
+        (_gate_payload(threshold="0.5"), "'threshold' must be a number"),
+        (_gate_payload(feature_means=[0.0] * 7), "differ in length"),
+        (_gate_payload(feature_stds=[0.0] * 8), "stds must be finite and > 0"),
+    ],
+)
+def test_backtest_rejects_malformed_gate_model(tmp_path, capsys, payload, message):
+    model_path = tmp_path / "gate.json"
+    model_path.write_text(json.dumps(payload))
+    code = main(["backtest", str(BACKTEST_FIXTURE), *BT_ARGS, "--gate-model", str(model_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_external_forecaster_roundtrip(tmp_path, capsys, backtest_series):
     # Export drift forecasts for every origin the backtest will visit, then
     # run the backtest with them as the external model: same records as drift.
@@ -186,7 +218,7 @@ def test_external_forecaster_roundtrip(tmp_path, capsys, backtest_series):
     items = []
     for t in sorted(set(train_origins) | set(eval_origins)):
         w = backtest_series.window(t - cfg.lookback + 1, t + 1)
-        items.append((backtest_series.candles[t].timestamp, drift_forecast(w, cfg.horizon)))
+        items.append((int(backtest_series.timestamps[t]), drift_forecast(w, cfg.horizon)))
     ext_path = tmp_path / "external.csv"
     ext_path.write_text(save_external_forecasts(items, backtest_series.timestamp_format))
 
@@ -224,3 +256,22 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     config_path.write_text(json.dumps({"lookbak": 30}))
     assert main(["prompt", str(BTC_FIXTURE), "--config", str(config_path)]) == 1
     assert "unknown config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"lookback": "110"}, "'lookback' must be of type int"),
+        ({"lookback": True}, "'lookback' must be of type int"),
+        ({"threshold": "0.5"}, "'threshold' must be of type float"),
+        ({"required_rules": "bottoming_tail_candle"}, "'required_rules' must be of type list of str"),
+        ({"format": "xml"}, "'format' must be one of"),
+    ],
+)
+def test_config_file_rejects_mistyped_values(tmp_path, capsys, config, message):
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(config))
+    code = main(["backtest", str(BACKTEST_FIXTURE), "--config", str(config_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and message in err

@@ -264,8 +264,8 @@ def test_forecast_trace_shape_and_join():
     assert lines[0] == "origin_timestamp,step,predicted,lower,upper,actual,executed"
     body = lines[1:]
     assert len(body) == 7 * len(records)
-    closes = [c.close for c in series.candles]
-    by_ts = {c.timestamp: i for i, c in enumerate(series.candles)}
+    closes = series.closes.tolist()
+    by_ts = {ts: i for i, ts in enumerate(series.timestamps.tolist())}
     for line in body:
         ts, step, _, _, _, actual, executed = line.split(",")
         origin = by_ts[int(ts)]

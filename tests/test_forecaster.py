@@ -14,17 +14,15 @@ from candlegate.forecaster import (
     save_external_forecasts,
 )
 from candlegate.indicators import realized_volatility
-from candlegate.market_data import Candle, ParseError, Series, parse_csv, serialize_csv
+from candlegate.market_data import ParseError, Series, parse_csv, serialize_csv
 
 from conftest import make_series, make_window
 from oracles import least_squares_line
 
 
 def _series_from_closes(closes):
-    candles = tuple(
-        Candle(86400 * i, c, c + 1.0, c - 1.0, c, 1.0) for i, c in enumerate(closes)
-    )
-    return Series("X", candles, "epoch")
+    rows = ((86400 * i, c, c + 1.0, c - 1.0, c, 1.0) for i, c in enumerate(closes))
+    return Series.from_rows("X", rows, "epoch")
 
 
 def test_naive_path_repeats_last_close():
@@ -102,7 +100,7 @@ def test_linreg_matches_normal_equations():
 
 
 def test_linreg_requires_two_points():
-    s = _series_from_closes([1.0])
+    s = _series_from_closes([5.0])
     with pytest.raises(ValueError):
         linreg_forecast(s.window(0, 1), horizon=1)
 
@@ -236,7 +234,7 @@ def test_load_external_unknown_origin():
 def test_load_external_binds_origin_index():
     rng = np.random.default_rng(18)
     series = make_series(rng, 10)
-    ts = series.candles[4].timestamp
+    ts = int(series.timestamps[4])
     text = f"origin_timestamp,step,predicted_close\n{ts},1,123.0\n"
     items = load_external_forecasts(text, series=series)
     assert items[0][1].origin_index == 4

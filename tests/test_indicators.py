@@ -19,12 +19,12 @@ from oracles import least_squares_line
 
 
 def _series_from_closes(closes, lows=None, highs=None):
-    candles = []
+    rows = []
     for i, c in enumerate(closes):
         lo = lows[i] if lows is not None else c - 1.0
         hi = highs[i] if highs is not None else c + 1.0
-        candles.append(Candle(86400 * i, c, hi, lo, c, 1.0))
-    return Series("X", tuple(candles), "epoch")
+        rows.append((86400 * i, c, hi, lo, c, 1.0))
+    return Series.from_rows("X", rows, "epoch")
 
 
 def test_window_stats_basic():

@@ -1,18 +1,19 @@
+from datetime import date
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from candlegate.market_data import (
-    Candle,
     ParseError,
     Series,
     ValidationError,
     parse_csv,
-    pct_return,
     serialize_csv,
-    validate,
 )
 
 from conftest import make_series
+from oracles import first_row_fault
 
 HEADER = "timestamp,open,high,low,close,volume"
 
@@ -21,8 +22,8 @@ def test_parse_single_row():
     text = f"{HEADER}\n2025-07-08,108000,109000,107000,108100,123.4\n"
     series = parse_csv(text, symbol="BTC")
     assert len(series) == 1
-    c = series.candles[0]
-    assert (c.open, c.high, c.low, c.close, c.volume) == (108000, 109000, 107000, 108100, 123.4)
+    c = [series.opens[0], series.highs[0], series.lows[0], series.closes[0], series.volumes[0]]
+    assert c == [108000, 109000, 107000, 108100, 123.4]
     assert series.symbol == "BTC"
     assert series.timestamp_format == "iso"
 
@@ -73,6 +74,12 @@ def test_parse_rejects_unordered_timestamps_with_line(second_day):
         parse_csv(text)
 
 
+def test_parse_rejects_out_of_range_epoch():
+    text = f"{HEADER}\n{2**63},100,101,99,100,1\n"
+    with pytest.raises(ParseError, match="line 2.*64-bit range"):
+        parse_csv(text)
+
+
 def test_parse_accepts_crlf():
     text = f"{HEADER}\r\n2025-07-08,100,101,99,100,1\r\n"
     assert len(parse_csv(text)) == 1
@@ -84,77 +91,137 @@ def test_ninety_row_roundtrip():
     text = serialize_csv(series)
     reparsed = parse_csv(text, symbol=series.symbol)
     assert len(reparsed) == 90
-    assert all(
-        reparsed.candles[i + 1].timestamp > reparsed.candles[i].timestamp for i in range(89)
-    )
-    assert reparsed == series
+    assert np.all(np.diff(reparsed.timestamps) > 0)
+    assert_same_columns(reparsed, series)
     # parse -> serialize -> parse is identity
-    assert parse_csv(serialize_csv(reparsed), symbol=series.symbol) == reparsed
+    assert_same_columns(parse_csv(serialize_csv(reparsed), symbol=series.symbol), reparsed)
 
 
 def test_iso_serialize_roundtrip():
     text = f"{HEADER}\n2025-07-08,108000.5,109000.25,107000.125,108100.0,123.4\n"
     series = parse_csv(text, symbol="s")
-    assert parse_csv(serialize_csv(series), symbol="s") == series
+    assert_same_columns(parse_csv(serialize_csv(series), symbol="s"), series)
 
 
-def _candle(ts=0, o=100.0, h=101.0, l=99.0, c=100.0, v=1.0):
-    return Candle(ts, o, h, l, c, v)
+def assert_same_columns(a, b):
+    assert (a.symbol, a.timestamp_format) == (b.symbol, b.timestamp_format)
+    for column_a, column_b in zip(a.columns, b.columns):
+        assert np.array_equal(column_a, column_b)
+
+
+def _row(ts=0, o=100.0, h=101.0, l=99.0, c=100.0, v=1.0):
+    return (ts, o, h, l, c, v)
 
 
 def test_validate_is_identity_on_valid_series():
-    series = Series("X", (_candle(0), _candle(86400)), "epoch")
-    assert validate(series) is series
-    # idempotent
-    assert validate(validate(series)) is series
+    rows = [_row(0), _row(86400, c=100.5)]
+    series = Series.from_rows("X", rows, "epoch")
+    assert list(zip(*(column.tolist() for column in series.columns))) == rows
+    # rebuilding from the columns checks them again and keeps them
+    again = Series("X", *series.columns, "epoch")
+    assert_same_columns(again, series)
+    assert again != series  # series compare by identity
+    with pytest.raises(ValueError, match="read-only"):
+        series.closes[0] = 1.0
 
 
 def test_validate_rejects_equal_timestamps():
-    series = Series("X", (_candle(0), _candle(0)), "epoch")
     with pytest.raises(ValidationError, match="candle 1.*strictly increasing"):
-        validate(series)
+        Series.from_rows("X", [_row(0), _row(0)], "epoch")
 
 
 def test_validate_rejects_out_of_order():
-    series = Series("X", (_candle(86400), _candle(0)), "epoch")
     with pytest.raises(ValidationError, match="candle 1"):
-        validate(series)
+        Series.from_rows("X", [_row(86400), _row(0)], "epoch")
 
 
 def test_validate_rejects_negative_volume():
-    series = Series("X", (_candle(v=-1.0),), "epoch")
     with pytest.raises(ValidationError, match="volume"):
-        validate(series)
+        Series.from_rows("X", [_row(v=-1.0)], "epoch")
 
 
 def test_validate_rejects_empty_series():
     with pytest.raises(ValidationError, match="empty"):
-        validate(Series("X", (), "epoch"))
+        Series.from_rows("X", [], "epoch")
 
 
-def test_pct_return_hand_cases():
-    series = Series("X", (_candle(0, c=100.0), _candle(86400, c=110.0)), "epoch")
-    assert pct_return(series, 0, 1) == pytest.approx(0.10)
-    flat = Series("X", (_candle(0, c=100.0), _candle(86400, c=100.0)), "epoch")
-    assert pct_return(flat, 0, 1) == 0.0
+PRICE = st.floats(min_value=1e-3, max_value=1e6)
+DAY = 86_400
+FAULTS = ("nan", "price", "volume", "low_above_high", "body", "timestamp", "non_numeric")
 
 
-def test_pct_return_bounds():
-    series = Series("X", (_candle(0), _candle(86400)), "epoch")
-    with pytest.raises(IndexError):
-        pct_return(series, 0, 2)
-    with pytest.raises(ValueError):
-        pct_return(series, 1, 0)
+def _plant(draw, kind, rows, i, step):
+    """Plant one fault of the given kind in row i."""
+    cells = rows[i][1]
+    if kind == "nan":
+        cells[draw(st.integers(0, 4))] = "nan"
+    elif kind == "price":
+        cells[draw(st.integers(0, 3))] = draw(st.sampled_from(["0.0", "-1.5"]))
+    elif kind == "volume":
+        cells[4] = repr(-float(cells[4]) - 1.0)
+    elif kind == "low_above_high":
+        cells[1], cells[2] = cells[2], cells[1]
+    elif kind == "body":
+        # Open, close or both leave the range, each above the high or below the low.
+        for field in draw(st.sampled_from([(0,), (3,), (0, 3)])):
+            high, low = float(cells[1]), float(cells[2])
+            cells[field] = repr(high * 2.0) if draw(st.booleans()) else repr(low / 2.0)
+    elif kind == "timestamp" and i > 0:
+        rows[i][0] = rows[i - 1][0] - step * draw(st.integers(0, 3))
+    elif kind == "non_numeric":
+        cells[draw(st.integers(0, 4))] = "abc"
 
 
-def test_pct_return_all_pairs_against_formula():
-    rng = np.random.default_rng(1)
-    series = make_series(rng, 25)
-    closes = [c.close for c in series.candles]
-    for i in range(25):
-        for j in range(i + 1, 25):
-            expected = (closes[j] - closes[i]) / closes[i]
-            got = pct_return(series, i, j)
-            assert got == expected
-            # sign property
-            assert np.sign(got) == np.sign(closes[j] - closes[i])
+@st.composite
+def csv_rows(draw):
+    """(flavour, rows): up to 8 valid rows of (timestamp, cells), then 0-2 planted faults.
+
+    Both faults often land in one row, so the order of checks within a row is tested.
+    """
+    flavour = draw(st.sampled_from(["epoch", "iso"]))
+    step = DAY if flavour == "iso" else 1
+    ts = 1_700_000_000 // DAY * DAY
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        ts += step * draw(st.integers(1, 5))
+        low, body_a, body_b, high = sorted(draw(st.lists(PRICE, min_size=4, max_size=4)))
+        o, c = (body_a, body_b) if draw(st.booleans()) else (body_b, body_a)
+        v = draw(st.floats(min_value=0.0, max_value=1e9))
+        rows.append([ts, [repr(x) for x in (o, high, low, c, v)]])
+    faulty = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=2))
+    # Non-numeric cells are planted last, so every other fault can read the row.
+    for kind in sorted(draw(st.lists(st.sampled_from(FAULTS), max_size=2)), key=FAULTS.index):
+        _plant(draw, kind, rows, draw(st.sampled_from(faulty)), step)
+    return flavour, rows
+
+
+def _csv_text(flavour, rows):
+    def label(ts):
+        return str(ts) if flavour == "epoch" else date.fromordinal(719163 + ts // DAY).isoformat()
+
+    return HEADER + "\n" + "".join(f"{label(ts)},{','.join(cells)}\n" for ts, cells in rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(csv_rows())
+def test_parse_matches_row_at_a_time_reference(case):
+    flavour, rows = case
+    text = _csv_text(flavour, rows)
+    fault = first_row_fault(rows)
+    if fault is not None:
+        index, message = fault
+        with pytest.raises(ParseError) as excinfo:
+            parse_csv(text)
+        assert excinfo.value.line == index + 2
+        assert str(excinfo.value) == f"line {index + 2}: {message}"
+        return
+    series = parse_csv(text)
+    assert series.timestamp_format == flavour
+    expected = [np.array([ts for ts, _ in rows], dtype=np.int64)] + [
+        np.array([float(cells[k]) for _, cells in rows]) for k in range(5)
+    ]
+    reparsed = parse_csv(serialize_csv(series))
+    assert reparsed.timestamp_format == flavour
+    for got, again, column in zip(series.columns, reparsed.columns, expected):
+        assert got.tobytes() == column.tobytes()
+        assert again.tobytes() == column.tobytes()

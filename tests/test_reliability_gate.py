@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from candlegate.forecaster import Forecast, naive_forecast
-from candlegate.market_data import Candle, Series
+from candlegate.market_data import Series
 from candlegate.reliability_gate import (
     FeatureError,
     GateModel,
@@ -25,10 +25,8 @@ from conftest import make_series, make_window
 
 
 def _flat_series(n=20, price=100.0):
-    candles = tuple(
-        Candle(86400 * i, price, price, price, price, 1.0) for i in range(n)
-    )
-    return Series("X", candles, "epoch")
+    rows = ((86400 * i, price, price, price, price, 1.0) for i in range(n))
+    return Series.from_rows("X", rows, "epoch")
 
 
 def _verdict(name, passed):
@@ -81,8 +79,8 @@ def test_extract_features_rejects_non_finite():
 
 def test_meta_label_basic():
     closes = [100.0, 101.0, 102.0, 103.0, 100.0]
-    candles = tuple(Candle(86400 * i, c, c + 1, c - 1, c, 1.0) for i, c in enumerate(closes))
-    series = Series("X", candles, "epoch")
+    rows = ((86400 * i, c, c + 1, c - 1, c, 1.0) for i, c in enumerate(closes))
+    series = Series.from_rows("X", rows, "epoch")
     up = Forecast(0, (200.0, 200.0))     # predicts Up over horizon 2
     assert meta_label(up, series) == 1   # close rises 100 -> 102
     flat_series = _flat_series(5)
@@ -99,7 +97,7 @@ def test_meta_label_requires_future_data():
 def test_meta_label_enumerated_fixture():
     rng = np.random.default_rng(20)
     series = make_series(rng, 20)
-    closes = [c.close for c in series.candles]
+    closes = series.closes.tolist()
     horizon = 3
     for origin in range(0, 20 - horizon):
         predicted_up = origin % 2 == 0

@@ -11,7 +11,7 @@ from candlegate.rule_engine import (
     explain,
 )
 
-from conftest import make_series
+from conftest import candle_rows, make_series
 from oracles import brute_force_bottoming_tail
 
 
@@ -24,7 +24,7 @@ def _all_pass_series(n=90):
     """89 quiet candles plus a last candle that meets every criterion."""
     candles = [_baseline_candle(i) for i in range(n - 1)]
     candles.append(Candle(86400 * (n - 1), 100.0, 104.0, 90.0, 103.0, 1000.0))
-    return Series("X", tuple(candles), "epoch")
+    return Series.from_rows("X", candles, "epoch")
 
 
 def test_builtin_rule_structure():
@@ -49,8 +49,9 @@ def test_all_pass_window():
 
 def test_doji_fails_geometric_predicates():
     series = _all_pass_series()
-    doji = Candle(series.candles[-1].timestamp, 90.0, 90.0, 90.0, 90.0, 1000.0)
-    series = Series("X", series.candles[:-1] + (doji,), "epoch")
+    rows = candle_rows(series)
+    rows[-1] = Candle(rows[-1].timestamp, 90.0, 90.0, 90.0, 90.0, 1000.0)
+    series = Series.from_rows("X", rows, "epoch")
     verdict = evaluate_rule(bottoming_tail_rule(), series.window(0, len(series)))
     assert not verdict.passed
     failed = {e.predicate for e in verdict.trace if not e.passed}
@@ -71,7 +72,7 @@ def test_random_windows_match_brute_force():
     for _ in range(200):
         series = make_series(rng, 90)
         verdict = evaluate_rule(rule, series.window(0, 90))
-        rows = [(c.open, c.high, c.low, c.close, c.volume) for c in series.candles]
+        rows = [c[1:] for c in candle_rows(series)]
         expected = brute_force_bottoming_tail(rows)
         got = [e.passed for e in verdict.trace]
         assert got == expected
@@ -147,9 +148,9 @@ def test_explain_format_failure():
     rule = bottoming_tail_rule()
     series = _all_pass_series()
     # shrink the last volume so the volume predicate fails
-    last = series.candles[-1]
-    quiet = Candle(last.timestamp, last.open, last.high, last.low, last.close, 1.0)
-    series = Series("X", series.candles[:-1] + (quiet,), "epoch")
+    rows = candle_rows(series)
+    rows[-1] = rows[-1]._replace(volume=1.0)
+    series = Series.from_rows("X", rows, "epoch")
     verdict = evaluate_rule(rule, series.window(0, len(series)))
     lines = explain(verdict)
     assert any(line.startswith("FAIL volume_in_top_10pct") for line in lines)
