@@ -8,7 +8,6 @@ decision carries a human-readable justification trace.
 """
 
 from .market_data import (
-    Candle,
     ParseError,
     Series,
     ValidationError,
@@ -17,13 +16,10 @@ from .market_data import (
     serialize_csv,
 )
 from .indicators import (
-    CandleGeometry,
     TrendLine,
     WindowStats,
-    candle_geometry,
     fit_resistance_line,
     fit_support_line,
-    percentile_rank,
     realized_volatility,
     resample_line,
     sample_line,

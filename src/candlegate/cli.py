@@ -14,6 +14,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from .evaluation import (
     EvalConfig,
     emit_forecast_trace,
@@ -31,10 +33,10 @@ from .forecaster import (
     save_external_forecasts,
 )
 from .market_data import Series, Window, format_timestamp, parse_csv
-from .indicators import fit_resistance_line, fit_support_line, resample_line
+from .indicators import blocks, fit_resistance_line, fit_support_line, resample_line
 from .prompt_prefix import BITCOIN_DOMAIN, PromptConfig, build_prompt
 from .reliability_gate import model_from_json, model_to_json
-from .rule_engine import bottoming_tail_rule, evaluate_rule, explain
+from .rule_engine import bottoming_tail_rule, explain, predicate_columns, rule_passed, rule_verdicts
 
 DEFAULTS = {
     "symbol": "",
@@ -156,12 +158,13 @@ def cmd_rules_scan(args) -> int:
             f"insufficient history: rule needs {lookback} candles, have {len(series)}"
         )
     matches = 0
-    for end in range(lookback, len(series) + 1):
-        verdict = evaluate_rule(rule, series.window(end - lookback, end))
-        if verdict.passed:
-            matches += 1
-        if verdict.passed or args.all:
-            index = end - 1
+    for ends in blocks(np.arange(lookback, len(series) + 1)):
+        columns = predicate_columns(rule, series, ends, lookback)
+        passed = rule_passed(columns)
+        matches += int(passed.sum())
+        rows = range(len(ends)) if args.all else np.flatnonzero(passed).tolist()
+        for i, verdict in zip(rows, rule_verdicts(rule, columns, rows)):
+            index = int(ends[i]) - 1
             ts = format_timestamp(int(series.timestamps[index]), series.timestamp_format)
             print(f"candle {index} ({ts})")
             for line in explain(verdict):

@@ -12,22 +12,25 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
+
+import numpy as np
 
 from .forecaster import Forecast, Side, direction_of
+from .indicators import blocks
 from .market_data import Series, format_timestamp
 from .reliability_gate import (
     GateDecision,
     GateModel,
     TrainingError,
     decide,
-    extract_features,
     feature_names,
+    feature_rows,
     meta_label,
-    score,
+    scores,
     train,
 )
-from .rule_engine import Rule, RuleVerdict, evaluate_rule
+from .rule_engine import Rule, RuleVerdict, predicate_columns, rule_passed, rule_verdicts
 
 REPORT_CSV_HEADER = "model,side,accuracy,precision,recall,f1,execution_rate"
 TRACE_CSV_HEADER = "origin_timestamp,step,predicted,lower,upper,actual,executed"
@@ -104,12 +107,18 @@ def _origin_splits(series: Series, cfg: EvalConfig):
     return train_origins, eval_origins
 
 
-def _origin_inputs(series: Series, origin: int, forecaster, rules: list[Rule], cfg: EvalConfig):
-    w = series.window(origin - cfg.lookback + 1, origin + 1)
-    forecast = forecaster(w, cfg.horizon)
-    verdicts = tuple(evaluate_rule(rule, w) for rule in rules)
-    x = extract_features(w, forecast, list(verdicts))
-    return forecast, verdicts, x
+def _block_inputs(series: Series, origins: list[int], forecaster, rules: list[Rule], cfg: EvalConfig):
+    """Forecasts (one forecaster call per origin), per-rule predicate columns
+    and feature rows for one block of origins."""
+    forecasts = [
+        forecaster(series.window(origin - cfg.lookback + 1, origin + 1), cfg.horizon)
+        for origin in origins
+    ]
+    ends = np.asarray(origins) + 1
+    columns = [predicate_columns(rule, series, ends, cfg.lookback) for rule in rules]
+    passed = np.array([rule_passed(c) for c in columns], dtype=bool).reshape(len(rules), len(ends)).T
+    predicted = np.array([forecast.path[-1] for forecast in forecasts])
+    return forecasts, columns, feature_rows(series, ends, cfg.lookback, predicted, passed)
 
 
 def train_gate_on_series(series: Series, forecaster, rules: list[Rule], cfg: EvalConfig) -> GateModel:
@@ -118,9 +127,9 @@ def train_gate_on_series(series: Series, forecaster, rules: list[Rule], cfg: Eva
     if not train_origins:
         raise TrainingError("training segment is empty; lower train_fraction or add data")
     dataset = []
-    for origin in train_origins:
-        forecast, _, x = _origin_inputs(series, origin, forecaster, rules, cfg)
-        dataset.append((x, meta_label(forecast, series)))
+    for block in blocks(train_origins):
+        forecasts, _, X = _block_inputs(series, block, forecaster, rules, cfg)
+        dataset.extend(zip(X, (meta_label(forecast, series) for forecast in forecasts)))
     names = feature_names([rule.name for rule in rules])
     return train(dataset, threshold=cfg.threshold, names=names)
 
@@ -142,23 +151,24 @@ def walk_forward(
         gate = train_gate_on_series(series, forecaster, rules, cfg)
 
     records = []
-    for origin in eval_origins:
-        forecast, verdicts, x = _origin_inputs(series, origin, forecaster, rules, cfg)
-        s = score(gate, x)
-        decision = decide(s, gate, list(verdicts), cfg.required_rules)
-        origin_close = float(series.closes[origin])
-        realized_close = float(series.closes[origin + cfg.horizon])
-        records.append(
-            EvalRecord(
-                origin_index=origin,
-                origin_timestamp=int(series.timestamps[origin]),
-                predicted=direction_of(forecast, origin_close),
-                realized=Side.UP if realized_close > origin_close else Side.DOWN,
-                decision=decision,
-                forecast=forecast,
-                verdicts=verdicts,
+    for block in blocks(eval_origins):
+        forecasts, columns, X = _block_inputs(series, block, forecaster, rules, cfg)
+        per_rule = [rule_verdicts(rule, c) for rule, c in zip(rules, columns)]
+        verdicts = list(zip(*per_rule)) if rules else [()] * len(block)
+        for origin, forecast, s, v in zip(block, forecasts, scores(gate, X).tolist(), verdicts):
+            origin_close = float(series.closes[origin])
+            realized_close = float(series.closes[origin + cfg.horizon])
+            records.append(
+                EvalRecord(
+                    origin_index=origin,
+                    origin_timestamp=int(series.timestamps[origin]),
+                    predicted=direction_of(forecast, origin_close),
+                    realized=Side.UP if realized_close > origin_close else Side.DOWN,
+                    decision=decide(s, gate, list(v), cfg.required_rules),
+                    forecast=forecast,
+                    verdicts=v,
+                )
             )
-        )
     return records
 
 
@@ -264,79 +274,66 @@ def report(rows: list[MetricsRow], fmt: str = "table") -> str:
     """
     if fmt == "table":
         header = ["Models", "Side", "Accuracy", "Precision", "Recall", "F1 score", "Execution Rate"]
-        body = [
-            [
-                r.model,
-                r.side,
-                _percent(r.accuracy),
-                _percent(r.precision),
-                _percent(r.recall),
-                _percent(r.f1),
-                _percent(r.execution_rate),
-            ]
-            for r in rows
-        ]
+        body = [[r.model, r.side, *map(_percent, astuple(r)[2:])] for r in rows]
         widths = [max(len(row[i]) for row in [header] + body) for i in range(len(header))]
         render = lambda row: "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
         return "\n".join([render(header)] + [render(row) for row in body]) + "\n"
 
     if fmt == "json":
-        payload = [
-            {
-                "model": r.model,
-                "side": r.side,
-                "accuracy": r.accuracy,
-                "precision": r.precision,
-                "recall": r.recall,
-                "f1": r.f1,
-                "execution_rate": r.execution_rate,
-            }
-            for r in rows
-        ]
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps([asdict(r) for r in rows], indent=2) + "\n"
 
     if fmt == "csv":
         cell = lambda v: "" if v is None else repr(v)
         lines = [REPORT_CSV_HEADER]
         for r in rows:
-            lines.append(
-                ",".join(
-                    [r.model, r.side]
-                    + [cell(v) for v in (r.accuracy, r.precision, r.recall, r.f1, r.execution_rate)]
-                )
-            )
+            lines.append(",".join([r.model, r.side, *map(cell, astuple(r)[2:])]))
         return "\n".join(lines) + "\n"
 
     raise ValueError(f"unknown report format {fmt!r}")
 
 
 def parse_report_csv(text: str) -> list[MetricsRow]:
+    """Rows of a CSV report; a malformed row raises ValueError naming its line."""
     reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
-    if not rows or ",".join(rows[0]) != REPORT_CSV_HEADER:
+    rows = [(reader.line_num, row) for row in reader if row]
+    if not rows or ",".join(rows[0][1]) != REPORT_CSV_HEADER:
         raise ValueError(f"expected header {REPORT_CSV_HEADER!r}")
+    names = REPORT_CSV_HEADER.split(",")
     out = []
-    for row in rows[1:]:
-        model, side, *values = row
-        nums = [None if v == "" else float(v) for v in values]
-        out.append(MetricsRow(model, side, *nums))
+    for line, row in rows[1:]:
+        if len(row) != len(names):
+            raise ValueError(f"report line {line}: expected {len(names)} fields, got {len(row)}")
+        nums = []
+        for name, value in zip(names[2:], row[2:]):
+            try:
+                nums.append(None if value == "" else float(value))
+            except ValueError:
+                raise ValueError(f"report line {line}: {name} {value!r} is not a number") from None
+        out.append(MetricsRow(row[0], row[1], *nums))
     return out
 
 
 def parse_report_json(text: str | bytes) -> list[MetricsRow]:
+    """Rows of a JSON report; a malformed row raises ValueError naming it and the key."""
     payload = json.loads(text)
-    return [
-        MetricsRow(
-            model=r["model"],
-            side=r["side"],
-            accuracy=r["accuracy"],
-            precision=r["precision"],
-            recall=r["recall"],
-            f1=r["f1"],
-            execution_rate=r["execution_rate"],
-        )
-        for r in payload
-    ]
+    if not isinstance(payload, list):
+        raise ValueError("report JSON must be a list of rows")
+    out = []
+    for i, row in enumerate(payload, start=1):
+        if not isinstance(row, dict):
+            raise ValueError(f"report row {i} is not an object")
+        for f in fields(MetricsRow):
+            if f.name not in row:
+                raise ValueError(f"report row {i} is missing key {f.name!r}")
+            value = row[f.name]
+            if f.name in ("model", "side"):
+                if not isinstance(value, str):
+                    raise ValueError(f"report row {i}: {f.name} {value!r} is not a string")
+            # JSON true/false load as bool, which Python counts as an int.
+            elif value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+                raise ValueError(f"report row {i}: {f.name} {value!r} is not a number")
+        out.append(MetricsRow(**{f.name: row[f.name] for f in fields(MetricsRow)}))
+    return out
 
 
 def emit_forecast_trace(records: list[EvalRecord], series: Series) -> str:

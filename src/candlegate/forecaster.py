@@ -16,8 +16,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .indicators import realized_volatility
-from .market_data import ParseError, Series, Window, _parse_timestamp, format_timestamp
+from .indicators import volatilities
+from .market_data import ParseError, Series, Window, _decode, _parse_timestamp, format_timestamp
 
 EXTERNAL_HEADER_BASE = "origin_timestamp,step,predicted_close"
 EXTERNAL_HEADER_FULL = "origin_timestamp,step,predicted_close,lower,upper"
@@ -67,7 +67,7 @@ def coverage_z(coverage: float) -> float:
 
 
 def _volatility_or_zero(w: Window) -> float:
-    return realized_volatility(w) if len(w) >= 2 else 0.0
+    return float(volatilities(w.closes[None, :])[0]) if len(w) >= 2 else 0.0
 
 
 def _diffusion_interval(path, last_close, sigma_frac, coverage):
@@ -145,9 +145,7 @@ def load_external_forecasts(
     origin index.  Malformed input raises ParseError with the line number (of
     the origin's first row for errors that span a whole origin).
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(_decode(text)))
     rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
     if not rows:
         raise ParseError("empty forecast file")

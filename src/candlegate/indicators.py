@@ -1,4 +1,8 @@
-"""Window statistics, candle geometry, percentile ranks, and trend lines.
+"""Window statistics, trend-line envelopes and realized volatility.
+
+The kernels take an (N, L) array holding N trailing windows, one row per
+forecast origin, and work row by row, so a row's result does not depend on N.
+The one-window functions call the same kernels on a single row.
 
 Support/resistance lines are least-squares fits through the window lows/highs,
 shifted so the line becomes a touching envelope (no low below the support line,
@@ -11,10 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market_data import Candle, Window
+from .market_data import Window
 
 SUPPORT = "support"
 RESISTANCE = "resistance"
+
+# Origins per kernel call: bounds the (BLOCK, L) window arrays a backtest holds.
+BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -36,18 +43,19 @@ class TrendLine:
     intercept: float
     kind: str
 
-    def value_at(self, step: float) -> float:
-        return self.intercept + self.slope * step
+
+def blocks(items):
+    """Consecutive slices of at most BLOCK items."""
+    return (items[i : i + BLOCK] for i in range(0, len(items), BLOCK))
 
 
-@dataclass(frozen=True)
-class CandleGeometry:
-    """Decomposition of a candle: range = body + lower_tail + upper_tail."""
+def window_index(ends: np.ndarray, length: int) -> np.ndarray:
+    """(N, length) indices whose row i runs over ``ends[i] - length .. ends[i] - 1``.
 
-    range: float
-    body: float
-    lower_tail: float
-    upper_tail: float
+    Indexing a column with it gathers the trailing windows as one C-contiguous
+    (N, length) array.  Every end must be >= length.
+    """
+    return ends[:, None] + np.arange(-length, 0)
 
 
 def window_stats(w: Window) -> WindowStats:
@@ -56,27 +64,39 @@ def window_stats(w: Window) -> WindowStats:
     return WindowStats(float(closes.min()), float(closes.max()), float(closes.mean()))
 
 
-def _fit_envelope(values: np.ndarray, kind: str) -> TrendLine:
-    if len(values) < 2:
-        raise ValueError(f"need at least 2 candles to fit a line, got {len(values)}")
-    idx = np.arange(len(values), dtype=np.float64)
-    slope, intercept = np.polyfit(idx, values, 1)
-    line = intercept + slope * idx
-    if kind == SUPPORT:
-        shift = float(np.min(values - line))
-    else:
-        shift = float(np.max(values - line))
-    return TrendLine(slope=float(slope), intercept=float(intercept + shift), kind=kind)
+def envelope_lines(values: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Slopes and intercepts of the touching envelope of each row of values.
+
+    The slope is the closed-form least-squares slope on the centered index;
+    the intercept is then shifted to the lowest (support) or highest
+    (resistance) residual.
+    """
+    length = values.shape[1]
+    if length < 2:
+        raise ValueError(f"need at least 2 candles to fit a line, got {length}")
+    steps = np.arange(length, dtype=np.float64)
+    middle = (length - 1) / 2.0
+    # The sum of the squared centered steps, exactly.
+    slopes = np.add.reduce(values * (steps - middle), axis=1) / (length * (length**2 - 1) / 12)
+    intercepts = np.add.reduce(values, axis=1) / length - slopes * middle
+    residuals = values - (intercepts[:, None] + slopes[:, None] * steps)
+    shift = np.minimum if kind == SUPPORT else np.maximum
+    return slopes, intercepts + shift.reduce(residuals, axis=1)
+
+
+def _one_line(values: np.ndarray, kind: str) -> TrendLine:
+    slopes, intercepts = envelope_lines(values[None, :], kind)
+    return TrendLine(slope=float(slopes[0]), intercept=float(intercepts[0]), kind=kind)
 
 
 def fit_support_line(w: Window) -> TrendLine:
     """Lower envelope: regression slope through the lows, anchored at the lowest residual."""
-    return _fit_envelope(w.lows, SUPPORT)
+    return _one_line(w.lows, SUPPORT)
 
 
 def fit_resistance_line(w: Window) -> TrendLine:
     """Upper envelope: regression slope through the highs, anchored at the highest residual."""
-    return _fit_envelope(w.highs, RESISTANCE)
+    return _one_line(w.highs, RESISTANCE)
 
 
 def resample_line(line: TrendLine, window_len: int, samples: int) -> TrendLine:
@@ -100,29 +120,21 @@ def sample_line(line: TrendLine, steps: int) -> list[float]:
     return [line.intercept + line.slope * k for k in range(steps)]
 
 
-def percentile_rank(values, x: float) -> float:
-    """Fraction of values <= x. 'In the top q' of a window means rank >= 1 - q."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        raise ValueError("percentile_rank of empty values")
-    return float(np.count_nonzero(values <= x)) / values.size
+def volatilities(closes: np.ndarray) -> np.ndarray:
+    """Sample standard deviation of one-step fractional close changes, per row.
 
-
-def candle_geometry(c: Candle) -> CandleGeometry:
-    body_top = max(c.open, c.close)
-    body_bottom = min(c.open, c.close)
-    return CandleGeometry(
-        range=c.high - c.low,
-        body=body_top - body_bottom,
-        lower_tail=body_bottom - c.low,
-        upper_tail=c.high - body_top,
-    )
+    The operations are those of ``np.std(ddof=1)``, so each row has its bits.
+    """
+    length = closes.shape[1]
+    if length < 2:
+        raise ValueError(f"need at least 2 candles for volatility, got {length}")
+    if length == 2:
+        return np.zeros(len(closes))
+    rets = closes[:, 1:] / closes[:, :-1] - 1.0
+    deviations = rets - (np.add.reduce(rets, axis=1) / (length - 1))[:, None]
+    return np.sqrt(np.add.reduce(deviations * deviations, axis=1) / (length - 2))
 
 
 def realized_volatility(w: Window) -> float:
     """Sample standard deviation of one-step fractional close changes."""
-    closes = w.closes
-    if len(closes) < 2:
-        raise ValueError(f"need at least 2 candles for volatility, got {len(closes)}")
-    rets = closes[1:] / closes[:-1] - 1.0
-    return float(np.std(rets, ddof=1)) if rets.size > 1 else 0.0
+    return float(volatilities(w.closes[None, :])[0])

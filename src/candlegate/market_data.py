@@ -16,7 +16,6 @@ from array import array
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
@@ -50,17 +49,6 @@ class ValidationError(ValueError):
         if index is not None:
             message = f"candle {index}: {message}"
         super().__init__(message)
-
-
-class Candle(NamedTuple):
-    """One OHLCV row. Timestamp is epoch seconds (UTC midnight for date input)."""
-
-    timestamp: int
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: float
 
 
 _COLUMNS = ("timestamps", "opens", "highs", "lows", "closes", "volumes")
@@ -173,14 +161,6 @@ class Window:
         return self.end - self.start
 
     @property
-    def last(self) -> Candle:
-        s, i = self.series, self.end - 1
-        return Candle(
-            int(s.timestamps[i]), float(s.opens[i]), float(s.highs[i]),
-            float(s.lows[i]), float(s.closes[i]), float(s.volumes[i]),
-        )
-
-    @property
     def highs(self) -> np.ndarray:
         return self.series.highs[self.start : self.end]
 
@@ -245,15 +225,22 @@ def _data_rows(records, flavour: str, lines: array):
         yield ts, o, h, l, c, v
 
 
+def _decode(text: str | bytes) -> str:
+    """Text of str or UTF-8 input; an undecodable byte is a ParseError on its line."""
+    try:
+        return text if isinstance(text, str) else text.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = text.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"invalid UTF-8 byte 0x{text[exc.start]:02x}", line=line) from None
+
+
 def parse_csv(text: str | bytes, symbol: str = "") -> Series:
     """Parse OHLCV CSV text into a Series, streaming its rows into columns.
 
     A malformed row or a violated candle or ordering invariant raises
     ParseError with the line number of the earliest faulty row.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    text = text.lstrip("﻿")
+    text = _decode(text).lstrip("﻿")
     if not text.strip():
         raise ParseError("empty input: no header or data rows")
 

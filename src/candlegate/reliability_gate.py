@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .forecaster import Forecast, Side, direction_of
-from .indicators import fit_resistance_line, fit_support_line, realized_volatility
+from .indicators import RESISTANCE, SUPPORT, envelope_lines, volatilities, window_index
 from .market_data import Series, Window
 from .rule_engine import RuleVerdict
 
@@ -49,29 +49,39 @@ def feature_names(rule_names: list[str] | tuple[str, ...]) -> tuple[str, ...]:
     return BASE_FEATURE_NAMES + tuple(f"rule_{name}" for name in rule_names) + ("bias",)
 
 
+def feature_rows(
+    series: Series, ends: np.ndarray, length: int, predicted: np.ndarray, passed: np.ndarray
+) -> np.ndarray:
+    """Deterministic fixed-order feature rows, one per window ``[end - length, end)``.
+
+    ``predicted`` holds each forecast's final predicted close and ``passed``
+    the (N, rules) pass bits of the rule verdicts.
+    """
+    index = window_index(ends, length)
+    closes, lows, highs = series.closes[index], series.lows[index], series.highs[index]
+    last = closes[:, -1]
+    support_slopes, support_intercepts = envelope_lines(lows, SUPPORT)
+    resistance_slopes, resistance_intercepts = envelope_lines(highs, RESISTANCE)
+    X = np.empty((len(ends), len(BASE_FEATURE_NAMES) + passed.shape[1] + 1))
+    X[:, 0] = (predicted - last) / last
+    X[:, 1] = volatilities(closes)
+    X[:, 2] = support_slopes / last
+    X[:, 3] = resistance_slopes / last
+    X[:, 4] = (last - (support_intercepts + support_slopes * (length - 1))) / last
+    X[:, 5] = ((resistance_intercepts + resistance_slopes * (length - 1)) - last) / last
+    X[:, 6:-1] = passed
+    X[:, -1] = 1.0
+    finite = np.isfinite(X)
+    if not finite.all():
+        first_bad_row = finite[np.argmin(finite.all(axis=1))]
+        raise FeatureError(f"non-finite feature {BASE_FEATURE_NAMES[np.argmin(first_bad_row)]!r}")
+    return X
+
+
 def extract_features(w: Window, forecast: Forecast, verdicts: list[RuleVerdict]) -> np.ndarray:
     """Deterministic fixed-order feature vector for one forecast origin."""
-    last = float(w.closes[-1])
-    support = fit_support_line(w)
-    resistance = fit_resistance_line(w)
-    support_end = support.value_at(len(w) - 1)
-    resistance_end = resistance.value_at(len(w) - 1)
-    values = [
-        (forecast.path[-1] - last) / last,
-        realized_volatility(w) if len(w) >= 2 else 0.0,
-        support.slope / last,
-        resistance.slope / last,
-        (last - support_end) / last,
-        (resistance_end - last) / last,
-    ]
-    values.extend(1.0 if v.passed else 0.0 for v in verdicts)
-    values.append(1.0)
-    x = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        names = feature_names([v.rule for v in verdicts])
-        bad = names[int(np.argmin(np.isfinite(x)))]
-        raise FeatureError(f"non-finite feature {bad!r}")
-    return x
+    passed = np.array([[v.passed for v in verdicts]], dtype=bool)
+    return feature_rows(w.series, np.array([w.end]), len(w), np.array([forecast.path[-1]]), passed)[0]
 
 
 def meta_label(forecast: Forecast, realized: Series) -> int:
@@ -120,13 +130,9 @@ class GateModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Stable on both tails.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # Stable on both tails: 1 / (1 + e^-z) for z >= 0, e^z / (1 + e^z) below.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def log_loss_and_gradient(weights: np.ndarray, X: np.ndarray, y: np.ndarray):
@@ -184,14 +190,21 @@ def train(
     )
 
 
+def scores(model: GateModel, X: np.ndarray) -> np.ndarray:
+    """Reliability estimates in [0, 1], one per feature row.
+
+    Each row is reduced on its own (no matrix product), so a row's score does
+    not depend on how many rows are scored with it.
+    """
+    if X.shape[1:] != (model.dim,):
+        raise ValueError(f"feature vector of shape {X.shape[1:]}, model expects ({model.dim},)")
+    x_std = (X - np.asarray(model.feature_means)) / np.asarray(model.feature_stds)
+    return _sigmoid(np.add.reduce(x_std * np.asarray(model.weights), axis=1))
+
+
 def score(model: GateModel, x: np.ndarray) -> float:
     """Reliability estimate in [0, 1] for one feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.dim,):
-        raise ValueError(f"feature vector of shape {x.shape}, model expects ({model.dim},)")
-    x_std = (x - np.asarray(model.feature_means)) / np.asarray(model.feature_stds)
-    z = float(np.dot(np.asarray(model.weights), x_std))
-    return float(_sigmoid(np.asarray([z]))[0])
+    return float(scores(model, np.asarray(x, dtype=np.float64)[None])[0])
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .indicators import candle_geometry, percentile_rank
-from .market_data import Candle, Window
+import numpy as np
+
+from .indicators import window_index
+from .market_data import Series, Window
 
 LOWEST_IN_WINDOW = "lowest_in_window"
 SIZE_TOP_PCT = "size_top_pct"
@@ -53,6 +55,14 @@ class Predicate:
         if self.kind in _THRESHOLDED:
             if self.threshold is None or not (0.0 < self.threshold <= 1.0):
                 raise ValueError(f"{self.kind} needs a threshold in (0, 1]")
+
+    @property
+    def cutoff(self) -> float:
+        """The value a ranked or fraction measurement must reach to pass."""
+        if self.kind == BODY_UPPER_HALF:
+            return 0.5
+        # A minimum tail fraction is its threshold; "in the top q" is 1 - q.
+        return self.threshold if self.kind == TAIL_MIN_FRACTION else 1.0 - self.threshold
 
 
 @dataclass(frozen=True)
@@ -103,62 +113,72 @@ def bottoming_tail_rule(lookback: int = DEFAULT_LOOKBACK) -> Rule:
     )
 
 
-def _evaluate_predicate(p: Predicate, w: Window, candle: Candle) -> TraceEntry:
-    # Each predicate sees the trailing `lookback` candles, inclusive of the
-    # candle under test (the window's last candle).
-    lo = w.end - p.lookback
-    geo = candle_geometry(candle)
+def predicate_columns(rule: Rule, series: Series, ends: np.ndarray, window_len: int):
+    """One (measured, threshold, passed) triple of columns per predicate of the
+    rule, with one row per window ``[end - window_len, end)`` of the series.
 
-    if p.kind == LOWEST_IN_WINDOW:
-        window_min = float(w.series.lows[lo : w.end].min())
-        return TraceEntry(p.name, candle.low, window_min, candle.low <= window_min)
+    Each predicate sees the trailing `lookback` candles, inclusive of the
+    candle under test (the window's last candle).
+    """
+    if window_len < rule.max_lookback:
+        raise InsufficientHistoryError(
+            f"rule {rule.name!r} needs {rule.max_lookback} candles, window has {window_len}"
+        )
+    last = ends - 1
+    o, h, l, c, v = (column[last] for column in (series.opens, series.highs, series.lows,
+                                                  series.closes, series.volumes))
+    size = h - l
+    # The fraction kinds are fractions of the candle's own range.  A zero-range
+    # candle (o = h = l = c) divides 0 by 1, measures 0.0 and fails them by
+    # fiat: a doji is not a bottoming tail.
+    has_range = size > 0.0
+    safe_size = size + ~has_range
+    body_low = (np.minimum(o, c) - l) / safe_size
+    fractions = {TAIL_MIN_FRACTION: body_low, BODY_UPPER_HALF: body_low,
+                 CLOSE_TOP_FRACTION: (c - l) / safe_size}
+    zeros = np.zeros(len(ends))
+    index = window_index(ends, rule.max_lookback)
+    columns = []
+    for p in rule.predicates:
+        window = index[:, rule.max_lookback - p.lookback :]
+        if p.kind == LOWEST_IN_WINDOW:
+            measured, threshold = l, np.minimum.reduce(series.lows[window], axis=1)
+            passed = measured <= threshold
+        elif p.kind in (SIZE_TOP_PCT, VOLUME_TOP_PCT):
+            if p.kind == SIZE_TOP_PCT:
+                values, x = series.highs[window] - series.lows[window], size
+            else:
+                values, x = series.volumes[window], v
+            measured = np.add.reduce(values <= x[:, None], axis=1) / p.lookback
+            threshold = zeros + p.cutoff
+            passed = measured >= threshold
+        else:
+            measured, threshold = fractions[p.kind], zeros + p.cutoff
+            passed = has_range & (measured >= threshold)
+        columns.append((measured, threshold, passed))
+    return columns
 
-    if p.kind == SIZE_TOP_PCT:
-        ranges = w.series.highs[lo : w.end] - w.series.lows[lo : w.end]
-        rank = percentile_rank(ranges, geo.range)
-        cutoff = 1.0 - p.threshold
-        return TraceEntry(p.name, rank, cutoff, rank >= cutoff)
 
-    if p.kind == VOLUME_TOP_PCT:
-        rank = percentile_rank(w.series.volumes[lo : w.end], candle.volume)
-        cutoff = 1.0 - p.threshold
-        return TraceEntry(p.name, rank, cutoff, rank >= cutoff)
+def rule_passed(columns) -> np.ndarray:
+    """Per-row rule outcome: every predicate passed."""
+    return np.logical_and.reduce([passed for _, _, passed in columns])
 
-    # The remaining kinds are fractions of the candle's own range; a
-    # zero-range candle fails them by fiat (a doji is not a bottoming tail).
-    if p.kind == TAIL_MIN_FRACTION:
-        cutoff = p.threshold
-        if geo.range <= 0.0:
-            return TraceEntry(p.name, 0.0, cutoff, False)
-        frac = geo.lower_tail / geo.range
-        return TraceEntry(p.name, frac, cutoff, frac >= cutoff)
 
-    if p.kind == BODY_UPPER_HALF:
-        cutoff = 0.5
-        if geo.range <= 0.0:
-            return TraceEntry(p.name, 0.0, cutoff, False)
-        frac = (min(candle.open, candle.close) - candle.low) / geo.range
-        return TraceEntry(p.name, frac, cutoff, frac >= cutoff)
-
-    if p.kind == CLOSE_TOP_FRACTION:
-        cutoff = 1.0 - p.threshold
-        if geo.range <= 0.0:
-            return TraceEntry(p.name, 0.0, cutoff, False)
-        frac = (candle.close - candle.low) / geo.range
-        return TraceEntry(p.name, frac, cutoff, frac >= cutoff)
-
-    raise AssertionError(f"unhandled predicate kind {p.kind!r}")
+def rule_verdicts(rule: Rule, columns, rows=None) -> list[RuleVerdict]:
+    """Verdicts with full traces for the given rows (all by default) of the columns."""
+    names = [p.name for p in rule.predicates]
+    values = [tuple(column.tolist() for column in triple) for triple in columns]
+    verdicts = []
+    for i in range(len(columns[0][0])) if rows is None else rows:
+        trace = tuple(TraceEntry(name, m[i], t[i], ok[i]) for name, (m, t, ok) in zip(names, values))
+        verdicts.append(RuleVerdict(rule=rule.name, passed=all(e.passed for e in trace), trace=trace))
+    return verdicts
 
 
 def evaluate_rule(rule: Rule, w: Window) -> RuleVerdict:
     """Measure every predicate of the rule against the window's last candle."""
-    if len(w) < rule.max_lookback:
-        raise InsufficientHistoryError(
-            f"rule {rule.name!r} needs {rule.max_lookback} candles, window has {len(w)}"
-        )
-    candle = w.last
-    trace = tuple(_evaluate_predicate(p, w, candle) for p in rule.predicates)
-    return RuleVerdict(rule=rule.name, passed=all(e.passed for e in trace), trace=trace)
+    columns = predicate_columns(rule, w.series, np.array([w.end]), len(w))
+    return rule_verdicts(rule, columns)[0]
 
 
 def explain(verdict: RuleVerdict) -> list[str]:

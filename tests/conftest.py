@@ -1,15 +1,27 @@
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from candlegate.market_data import Candle, Series, parse_csv
+from candlegate.market_data import Series, parse_csv
 
 DATA_DIR = Path(__file__).parent / "data"
 
 BTC_FIXTURE = DATA_DIR / "btc_daily_110.csv"
 PLANTED_FIXTURE = DATA_DIR / "planted_bottoming_tail.csv"
 BACKTEST_FIXTURE = DATA_DIR / "backtest_demo.csv"
+
+
+class Candle(NamedTuple):
+    """One OHLCV row, in the field order Series.from_rows reads."""
+
+    timestamp: int
+    open: float
+    high: float
+    low: float
+    close: float
+    volume: float
 
 
 def make_series(rng: np.random.Generator, n: int, start_price: float = 100.0) -> Series:

@@ -7,6 +7,7 @@ into candlegate, so a bug in the engine cannot hide in its own oracle.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 
 def brute_force_bottoming_tail(candles, lookback: int = 90):
@@ -41,6 +42,35 @@ def brute_force_bottoming_tail(candles, lookback: int = 90):
         tail_half = body_upper = close_top_quarter = False
 
     return [lowest, size_top_70, vol_top_10, tail_half, body_upper, close_top_quarter]
+
+
+def percentile_rank(values, x: float) -> float:
+    """Fraction of values <= x. 'In the top q' of a window means rank >= 1 - q."""
+    values = list(values)
+    if not values:
+        raise ValueError("percentile_rank of empty values")
+    return sum(1 for value in values if value <= x) / len(values)
+
+
+class CandleGeometry(NamedTuple):
+    """Decomposition of a candle: range = body + lower_tail + upper_tail."""
+
+    range: float
+    body: float
+    lower_tail: float
+    upper_tail: float
+
+
+def candle_geometry(candle) -> CandleGeometry:
+    """Geometry of a candle with .open/.high/.low/.close attributes."""
+    body_top = max(candle.open, candle.close)
+    body_bottom = min(candle.open, candle.close)
+    return CandleGeometry(
+        range=candle.high - candle.low,
+        body=body_top - body_bottom,
+        lower_tail=body_bottom - candle.low,
+        upper_tail=candle.high - body_top,
+    )
 
 
 def least_squares_line(xs, ys):

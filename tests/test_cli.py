@@ -243,6 +243,37 @@ def test_report_command_renders_json(tmp_path, capsys):
     assert out.startswith("Models")
 
 
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("rows.csv", "model,side,accuracy,precision,recall,f1,execution_rate\nm,Up,0.5\n",
+         "report line 2: expected 7 fields, got 3"),
+        ("rows.csv", "model,side,accuracy,precision,recall,f1,execution_rate\n"
+         "m,Up,0.5,0.5,0.5,0.5,1.0\nm,Down,0.5,high,0.5,0.5,1.0\n",
+         "report line 3: precision 'high' is not a number"),
+        ("rows.json", '[{"model": "a"}]', "report row 1 is missing key 'side'"),
+        ("rows.json", '[{"model": "a", "side": "Up", "accuracy": "50%", "precision": null, '
+         '"recall": null, "f1": null, "execution_rate": 1.0}]', "report row 1: accuracy '50%'"),
+        ("rows.json", '[["a", "Up"]]', "report row 1 is not an object"),
+    ],
+    ids=["csv_field_count", "csv_non_numeric", "json_missing_key", "json_wrong_type", "json_not_object"],
+)
+def test_report_rejects_malformed_rows(tmp_path, capsys, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["report", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+
+def test_validate_reports_undecodable_byte_with_line(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"timestamp,open,high,low,close,volume\n2024-01-01,100,101,99,100,1\n"
+                    b"2024-01-02,100,101,99,100,1\xff\n")
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().err == "error: line 3: invalid UTF-8 byte 0xff\n"
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     config_path = tmp_path / "run.json"
     config_path.write_text(json.dumps({"lookback": 30, "horizon": 5}))

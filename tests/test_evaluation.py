@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from candlegate.evaluation import (
     ConfusionMatrix,
@@ -23,10 +25,11 @@ from candlegate.evaluation import (
     walk_forward,
 )
 from candlegate.forecaster import Forecast, Side, drift_forecast
+from candlegate.market_data import Series
 from candlegate.reliability_gate import GateDecision, GateModel
 from candlegate.rule_engine import bottoming_tail_rule
 
-from conftest import make_series
+from conftest import candle_rows, make_series
 from oracles import confusion_counts
 from synthetic import make_regime_series, regime_flag_rule
 
@@ -311,3 +314,30 @@ def test_regime_gate_lifts_precision():
         ungated = metrics(confusion(records, side, gated=False))
         assert gated["precision"] is not None and ungated["precision"] is not None
         assert gated["precision"] >= ungated["precision"] + 0.10
+
+
+def _splice(head, tail, start):
+    """head's candles before `start`, then tail's candles, on head's timestamps."""
+    rows = candle_rows(head)[:start] + [
+        row._replace(timestamp=ts) for row, ts in zip(candle_rows(tail)[start:], head.timestamps.tolist()[start:])
+    ]
+    return Series.from_rows(head.symbol, rows, head.timestamp_format)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(
+    lookback=st.integers(2, 120),
+    horizon=st.integers(1, 20),
+    stride=st.integers(1, 10),
+    train_fraction=st.floats(0.2, 0.9),
+)
+def test_embargo_training_never_reads_the_evaluation_segment(lookback, horizon, stride, train_fraction):
+    series = make_series(np.random.default_rng(40), 2_000)
+    cfg = EvalConfig(lookback=lookback, horizon=horizon, stride=stride, train_fraction=train_fraction)
+    train_origins, eval_origins = _origin_splits(series, cfg)
+    assert train_origins and all(t + horizon <= eval_origins[0] for t in train_origins)
+    # Replace every candle after the first evaluation origin: the gate must not change.
+    spliced = _splice(series, make_series(np.random.default_rng(41), 2_000), eval_origins[0] + 1)
+    rules = [bottoming_tail_rule(min(lookback, 90))]
+    gate = train_gate_on_series(series, drift_forecast, rules, cfg)
+    assert train_gate_on_series(spliced, drift_forecast, rules, cfg) == gate

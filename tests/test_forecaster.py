@@ -225,6 +225,12 @@ def test_load_external_rejects_bad_rows_with_line(text, message):
         load_external_forecasts(text)
 
 
+def test_load_external_reports_undecodable_byte_with_line():
+    data = EXTERNAL.encode().replace(b"2024-01-10,3,103.5", b"2024-01-10,3,103.5\xc3")
+    with pytest.raises(ParseError, match="^line 4: invalid UTF-8 byte 0xc3$"):
+        load_external_forecasts(data)
+
+
 def test_load_external_unknown_origin():
     series = _series_from_closes([100.0, 101.0])
     with pytest.raises(ValueError, match="not present in series"):

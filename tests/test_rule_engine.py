@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from candlegate.market_data import Candle, Series
+from candlegate.market_data import Series
 from candlegate.rule_engine import (
     InsufficientHistoryError,
     Predicate,
@@ -11,7 +11,7 @@ from candlegate.rule_engine import (
     explain,
 )
 
-from conftest import candle_rows, make_series
+from conftest import Candle, candle_rows, make_series
 from oracles import brute_force_bottoming_tail
 
 
