@@ -16,7 +16,7 @@ from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .forecaster import Forecast, Side, direction_of
+from .forecaster import Forecast, Side, direction_of, side_of
 from .indicators import blocks
 from .market_data import Series, format_timestamp
 from .reliability_gate import (
@@ -26,6 +26,7 @@ from .reliability_gate import (
     decide,
     feature_names,
     feature_rows,
+    gate_decision,
     meta_label,
     scores,
     train,
@@ -56,7 +57,6 @@ class EvalConfig:
 @dataclass(frozen=True)
 class EvalRecord:
     origin_index: int
-    origin_timestamp: int
     predicted: Side
     realized: Side
     decision: GateDecision
@@ -157,13 +157,11 @@ def walk_forward(
         verdicts = list(zip(*per_rule)) if rules else [()] * len(block)
         for origin, forecast, s, v in zip(block, forecasts, scores(gate, X).tolist(), verdicts):
             origin_close = float(series.closes[origin])
-            realized_close = float(series.closes[origin + cfg.horizon])
             records.append(
                 EvalRecord(
                     origin_index=origin,
-                    origin_timestamp=int(series.timestamps[origin]),
                     predicted=direction_of(forecast, origin_close),
-                    realized=Side.UP if realized_close > origin_close else Side.DOWN,
+                    realized=side_of(float(series.closes[origin + cfg.horizon]), origin_close),
                     decision=decide(s, gate, list(v), cfg.required_rules),
                     forecast=forecast,
                     verdicts=v,
@@ -172,17 +170,12 @@ def walk_forward(
     return records
 
 
-def apply_threshold(
-    records: list[EvalRecord], gate: GateModel, threshold: float,
-    required_rules: tuple[str, ...] = (),
-) -> list[EvalRecord]:
-    """Re-gate existing records at a different threshold (scores are reused)."""
-    regated = replace(gate, threshold=threshold)
+def apply_threshold(records: list[EvalRecord], gate: GateModel, threshold: float) -> list[EvalRecord]:
+    """Re-gate existing records at a different threshold from each record's
+    own score and required-rule verdicts, so rule vetoes carry over."""
+    threshold = replace(gate, threshold=threshold).threshold  # validated by GateModel
     return [
-        replace(
-            r,
-            decision=decide(r.decision.score, regated, list(r.verdicts), required_rules),
-        )
+        replace(r, decision=gate_decision(r.decision.score, threshold, r.decision.rules))
         for r in records
     ]
 
@@ -339,9 +332,9 @@ def parse_report_json(text: str | bytes) -> list[MetricsRow]:
 def emit_forecast_trace(records: list[EvalRecord], series: Series) -> str:
     """Long-format, plot-ready CSV: one row per record per forecast step."""
     lines = [TRACE_CSV_HEADER]
-    closes = series.closes.tolist()
+    closes, timestamps = series.closes.tolist(), series.timestamps.tolist()
     for r in records:
-        ts = format_timestamp(r.origin_timestamp, series.timestamp_format)
+        ts = format_timestamp(timestamps[r.origin_index], series.timestamp_format)
         executed = "true" if r.decision.executed else "false"
         for k, predicted in enumerate(r.forecast.path):
             step = k + 1

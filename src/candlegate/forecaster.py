@@ -71,10 +71,10 @@ def _volatility_or_zero(w: Window) -> float:
 
 
 def _diffusion_interval(path, last_close, sigma_frac, coverage):
-    z = coverage_z(coverage)
-    width = z * sigma_frac * last_close
-    lower = tuple(float(p - width * np.sqrt(k + 1.0)) for k, p in enumerate(path))
-    upper = tuple(float(p + width * np.sqrt(k + 1.0)) for k, p in enumerate(path))
+    width = coverage_z(coverage) * sigma_frac * last_close
+    spreads = [width * math.sqrt(k + 1.0) for k in range(len(path))]
+    lower = tuple(p - s for p, s in zip(path, spreads))
+    upper = tuple(p + s for p, s in zip(path, spreads))
     return lower, upper
 
 
@@ -121,10 +121,14 @@ def linreg_forecast(w: Window, horizon: int, coverage: float = DEFAULT_COVERAGE)
     return Forecast(w.end - 1, path, lower, upper)
 
 
+def side_of(close: float, origin_close: float) -> Side:
+    """Up iff strictly above the origin close; a tie is Down, so a flat call never goes long."""
+    return Side.UP if close > origin_close else Side.DOWN
+
+
 def direction_of(forecast: Forecast, last_close: float) -> Side:
-    """Directional call at the horizon endpoint. A tie is Down: a forecast of
-    no gain must never trigger a long execution."""
-    return Side.UP if forecast.path[-1] > last_close else Side.DOWN
+    """Directional call at the horizon endpoint."""
+    return side_of(forecast.path[-1], last_close)
 
 
 BASELINES = {

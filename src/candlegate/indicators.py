@@ -107,9 +107,7 @@ def resample_line(line: TrendLine, window_len: int, samples: int) -> TrendLine:
     """
     if window_len < 1 or samples < 1:
         raise ValueError("window_len and samples must be >= 1")
-    if samples == 1:
-        return TrendLine(slope=0.0, intercept=line.intercept, kind=line.kind)
-    step = line.slope * (window_len - 1) / (samples - 1)
+    step = line.slope * (window_len - 1) / (samples - 1) if samples > 1 else 0.0
     return TrendLine(slope=step, intercept=line.intercept, kind=line.kind)
 
 

@@ -21,6 +21,9 @@ BITCOIN_DOMAIN = (
     "price of Bitcoin as well as the volume."
 )
 
+STATS_DECIMALS = 1
+LINE_DECIMALS = 2
+
 
 @dataclass(frozen=True)
 class PromptConfig:
@@ -29,8 +32,6 @@ class PromptConfig:
     lookback: int
     horizon: int
     line_samples: int = 6
-    stats_decimals: int = 1
-    line_decimals: int = 2
 
     def __post_init__(self):
         if self.lookback < 1 or self.horizon < 1 or self.line_samples < 1:
@@ -59,9 +60,9 @@ def build_prompt(
     emitted as cfg.line_samples evenly progressing values.
     """
     stats = window_stats(w)
-    fmt = lambda v: format_number(v, cfg.stats_decimals)
-    support_seq = _sequence(sample_line(support, cfg.line_samples), cfg.line_decimals)
-    resistance_seq = _sequence(sample_line(resistance, cfg.line_samples), cfg.line_decimals)
+    fmt = lambda v: format_number(v, STATS_DECIMALS)
+    support_seq = _sequence(sample_line(support, cfg.line_samples), LINE_DECIMALS)
+    resistance_seq = _sequence(sample_line(resistance, cfg.line_samples), LINE_DECIMALS)
 
     lines = [
         f"This dataset is the {cfg.asset} daily price chart.",

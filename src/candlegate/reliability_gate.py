@@ -4,8 +4,8 @@ The gate is a logistic model over a fixed-order feature vector, trained with
 full-batch gradient descent on log-loss under a fixed schedule (EPOCHS steps
 of size LEARNING_RATE from zero weights).  A forecast is executed only when the
 reliability score clears the threshold AND every required symbolic rule passed,
-so both the statistical and the logical leg can veto, and every decision
-carries its reasons.
+so both the statistical and the logical leg can veto.  Every decision keeps
+that evidence and renders its reasons from it on read.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .forecaster import Forecast, Side, direction_of
+from .forecaster import Forecast, direction_of, side_of
 from .indicators import RESISTANCE, SUPPORT, envelope_lines, volatilities, window_index
 from .market_data import Series, Window
 from .rule_engine import RuleVerdict
@@ -94,8 +94,7 @@ def meta_label(forecast: Forecast, realized: Series) -> int:
             f"plus horizon {forecast.horizon}"
         )
     origin_close = float(realized.closes[origin])
-    realized_side = Side.UP if realized.closes[end] > origin_close else Side.DOWN
-    return int(direction_of(forecast, origin_close) == realized_side)
+    return int(direction_of(forecast, origin_close) == side_of(realized.closes[end], origin_close))
 
 
 @dataclass(frozen=True)
@@ -209,9 +208,28 @@ def score(model: GateModel, x: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class GateDecision:
+    """Execute or abstain, with its evidence: score, threshold, required-rule verdicts."""
+
     executed: bool
     score: float
-    reasons: tuple[str, ...]
+    threshold: float
+    rules: tuple[RuleVerdict, ...]
+
+    @property
+    def reasons(self) -> tuple[str, ...]:
+        """One line for the score, then one per required rule, in the order required."""
+        cmp = ">=" if self.score >= self.threshold else "<"
+        lines = [f"score {self.score:.2f} {cmp} threshold {self.threshold:.2f}"]
+        for v in self.rules:
+            failed = [e.predicate for e in v.trace if not e.passed]
+            lines.append(f"rule {v.rule}: " + ("passed" if v.passed else f"failed ({failed[0]})"))
+        return tuple(lines)
+
+
+def gate_decision(score_value: float, threshold: float, rules: tuple[RuleVerdict, ...]) -> GateDecision:
+    """The execute policy: the score clears the threshold and every required rule passed."""
+    executed = score_value >= threshold and all(v.passed for v in rules)
+    return GateDecision(executed, score_value, threshold, rules)
 
 
 def decide(
@@ -225,23 +243,7 @@ def decide(
     missing = [name for name in required_rules if name not in by_name]
     if missing:
         raise ValueError(f"required rule(s) {missing} not among verdicts")
-
-    reasons = []
-    score_ok = score_value >= model.threshold
-    cmp = ">=" if score_ok else "<"
-    reasons.append(f"score {score_value:.2f} {cmp} threshold {model.threshold:.2f}")
-
-    rules_ok = True
-    for name in required_rules:
-        verdict = by_name[name]
-        if verdict.passed:
-            reasons.append(f"rule {name}: passed")
-        else:
-            rules_ok = False
-            failed = next(e.predicate for e in verdict.trace if not e.passed)
-            reasons.append(f"rule {name}: failed ({failed})")
-
-    return GateDecision(executed=score_ok and rules_ok, score=score_value, reasons=tuple(reasons))
+    return gate_decision(score_value, model.threshold, tuple(by_name[name] for name in required_rules))
 
 
 def model_to_json(model: GateModel) -> str:

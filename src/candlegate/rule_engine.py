@@ -120,9 +120,10 @@ def predicate_columns(rule: Rule, series: Series, ends: np.ndarray, window_len: 
     Each predicate sees the trailing `lookback` candles, inclusive of the
     candle under test (the window's last candle).
     """
-    if window_len < rule.max_lookback:
+    lookback = rule.max_lookback
+    if window_len < lookback:
         raise InsufficientHistoryError(
-            f"rule {rule.name!r} needs {rule.max_lookback} candles, window has {window_len}"
+            f"rule {rule.name!r} needs {lookback} candles, window has {window_len}"
         )
     last = ends - 1
     o, h, l, c, v = (column[last] for column in (series.opens, series.highs, series.lows,
@@ -137,10 +138,10 @@ def predicate_columns(rule: Rule, series: Series, ends: np.ndarray, window_len: 
     fractions = {TAIL_MIN_FRACTION: body_low, BODY_UPPER_HALF: body_low,
                  CLOSE_TOP_FRACTION: (c - l) / safe_size}
     zeros = np.zeros(len(ends))
-    index = window_index(ends, rule.max_lookback)
+    index = window_index(ends, lookback)
     columns = []
     for p in rule.predicates:
-        window = index[:, rule.max_lookback - p.lookback :]
+        window = index[:, lookback - p.lookback :]
         if p.kind == LOWEST_IN_WINDOW:
             measured, threshold = l, np.minimum.reduce(series.lows[window], axis=1)
             passed = measured <= threshold

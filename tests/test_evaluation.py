@@ -45,11 +45,10 @@ def _zero_gate(dim=7, threshold=0.5):
 
 
 def _record(predicted, realized, executed, score=0.5, origin=0):
-    decision = GateDecision(executed=executed, score=score, reasons=("synthetic",))
+    decision = GateDecision(executed=executed, score=score, threshold=0.5, rules=())
     forecast = Forecast(origin, (100.0,) * 2)
     return EvalRecord(
         origin_index=origin,
-        origin_timestamp=86_400 * origin,
         predicted=predicted,
         realized=realized,
         decision=decision,
@@ -252,6 +251,14 @@ def test_report_json_roundtrip_and_null():
     assert parse_report_json(text) == rows
 
 
+def test_flat_closes_realize_down_by_the_tie_policy():
+    rows = ((86_400 * i, 100.0, 101.0, 99.0, 100.0, 1.0) for i in range(20))
+    series = Series.from_rows("FLAT", rows, "epoch")
+    cfg = EvalConfig(lookback=5, horizon=2, train_fraction=0.0)
+    records = walk_forward(series, drift_forecast, _zero_gate(), [], cfg)
+    assert {(r.predicted, r.realized) for r in records} == {(Side.DOWN, Side.DOWN)}
+
+
 def test_report_rejects_unknown_format():
     with pytest.raises(ValueError):
         report([], "xml")
@@ -279,7 +286,7 @@ def test_forecast_trace_shape_and_join():
         flags = {
             line.split(",")[-1]
             for line in body
-            if int(line.split(",")[0]) == record.origin_timestamp
+            if int(line.split(",")[0]) == int(series.timestamps[record.origin_index])
         }
         assert len(flags) == 1
 
@@ -299,6 +306,38 @@ def test_apply_threshold_monotone_execution():
     assert all(a >= b for a, b in zip(rates, rates[1:]))
     assert all(a >= b for a, b in zip(sizes, sizes[1:]))
     assert rates[0] == 1.0
+
+
+def _regime_records_with_required_rule():
+    """Records of a zero gate (every score 0.5) on the regime series, with the
+    regime flag required: about half of them are rule vetoes."""
+    series = make_regime_series(600, lookback=20, horizon=5, seed=3)
+    rules = [regime_flag_rule()]
+    cfg = EvalConfig(lookback=20, horizon=5, train_fraction=0.0, required_rules=(rules[0].name,))
+    gate = _zero_gate(dim=8)
+    return gate, walk_forward(series, drift_forecast, gate, rules, cfg)
+
+
+def test_apply_threshold_at_gate_threshold_keeps_rule_vetoes():
+    gate, records = _regime_records_with_required_rule()
+    executed = sum(r.decision.executed for r in records)
+    assert 0 < executed < len(records)
+    regated = apply_threshold(records, gate, gate.threshold)
+    assert [r.decision for r in regated] == [r.decision for r in records]
+
+
+def test_regated_reasons_name_the_new_threshold_and_keep_rule_lines():
+    gate, records = _regime_records_with_required_rule()
+    regated = apply_threshold(records, gate, 0.75)
+    assert {r.decision.reasons[1] for r in records} == {
+        "rule regime_flag: passed",
+        "rule regime_flag: failed (long_lower_tail)",
+    }
+    for before, after in zip(records, regated):
+        assert before.decision.reasons[0] == "score 0.50 >= threshold 0.50"
+        assert after.decision.reasons[0] == "score 0.50 < threshold 0.75"
+        assert after.decision.reasons[1:] == before.decision.reasons[1:]
+        assert not after.decision.executed
 
 
 def test_regime_gate_lifts_precision():

@@ -12,6 +12,7 @@ from candlegate.forecaster import (
     load_external_forecasts,
     naive_forecast,
     save_external_forecasts,
+    side_of,
 )
 from candlegate.indicators import realized_volatility
 from candlegate.market_data import ParseError, Series, parse_csv, serialize_csv
@@ -110,6 +111,8 @@ def test_direction_basic_and_tie():
     f_tie = Forecast(0, (100.0,))
     assert direction_of(f_up, 100.0) is Side.UP
     assert direction_of(f_tie, 100.0) is Side.DOWN
+    assert side_of(100.0, 100.0) is Side.DOWN
+    assert side_of(float(np.nextafter(100.0, 101.0)), 100.0) is Side.UP
 
 
 def test_direction_scale_invariant():

@@ -213,7 +213,7 @@ def test_decide_score_only():
     decision = decide(0.8, model, [], [])
     assert decision.executed
     assert decision.score == 0.8
-    assert any("0.80" in r and "0.50" in r for r in decision.reasons)
+    assert decision.reasons == ("score 0.80 >= threshold 0.50",)
 
 
 def test_decide_rule_veto():
@@ -221,7 +221,11 @@ def test_decide_rule_veto():
     failed = _verdict("bottoming_tail_candle", False)
     decision = decide(0.8, model, [failed], ["bottoming_tail_candle"])
     assert not decision.executed
-    assert any("bottoming_tail_candle" in r and "p" in r for r in decision.reasons)
+    assert decision.rules == (failed,)
+    assert decision.reasons == (
+        "score 0.80 >= threshold 0.50",
+        "rule bottoming_tail_candle: failed (p)",
+    )
 
 
 def test_decide_statistical_veto():
@@ -229,8 +233,16 @@ def test_decide_statistical_veto():
     passed = _verdict("r", True)
     decision = decide(0.4, model, [passed], ["r"])
     assert not decision.executed
-    assert any("<" in r for r in decision.reasons)
-    assert decision.reasons  # abstentions carry reasons too
+    assert decision.reasons == ("score 0.40 < threshold 0.50", "rule r: passed")
+
+
+def test_decide_keeps_required_verdicts_in_required_order():
+    model = _model([1.0], threshold=0.5)
+    a, b, c = _verdict("a", True), _verdict("b", False), _verdict("c", True)
+    decision = decide(0.6, model, [a, b, c], ["c", "a"])
+    assert decision.executed
+    assert (decision.threshold, decision.rules) == (0.5, (c, a))
+    assert decision.reasons == ("score 0.60 >= threshold 0.50", "rule c: passed", "rule a: passed")
 
 
 def test_decide_missing_required_rule():
