@@ -20,7 +20,6 @@ from .indicators import (
     WindowStats,
     fit_resistance_line,
     fit_support_line,
-    realized_volatility,
     resample_line,
     sample_line,
     window_stats,
@@ -38,7 +37,6 @@ from .rule_engine import (
 from .forecaster import (
     Forecast,
     Side,
-    direction_of,
     drift_forecast,
     linreg_forecast,
     load_external_forecasts,
@@ -53,7 +51,6 @@ from .reliability_gate import (
     decide,
     extract_features,
     feature_names,
-    meta_label,
     model_from_json,
     model_to_json,
     score,
@@ -61,16 +58,13 @@ from .reliability_gate import (
 )
 from .prompt_prefix import BITCOIN_DOMAIN, PromptConfig, build_prompt
 from .evaluation import (
-    ConfusionMatrix,
     EvalConfig,
     EvalRecord,
+    EvalTable,
     MetricsRow,
     apply_threshold,
-    confusion,
     emit_forecast_trace,
-    execution_rate,
     f1_score,
-    metrics,
     report,
     summarize,
     train_gate_on_series,

@@ -37,6 +37,7 @@ from .indicators import blocks, fit_resistance_line, fit_support_line, resample_
 from .prompt_prefix import BITCOIN_DOMAIN, PromptConfig, build_prompt
 from .reliability_gate import model_from_json, model_to_json
 from .rule_engine import bottoming_tail_rule, explain, predicate_columns, rule_passed, rule_verdicts
+from .rule_engine import required_positions
 
 DEFAULTS = {
     "symbol": "",
@@ -185,17 +186,21 @@ def cmd_forecast(args) -> int:
     return 0
 
 
-def _eval_config(cfg: dict) -> EvalConfig:
+def _eval_config(cfg: dict, rules) -> EvalConfig:
+    """The evaluation config, with its required rules checked against the rules."""
     values = {f.name: cfg[f.name] for f in fields(EvalConfig)}
     values["required_rules"] = tuple(values["required_rules"])
+    required_positions([rule.name for rule in rules], values["required_rules"])
     return EvalConfig(**values)
 
 
 def cmd_train_gate(args) -> int:
     cfg = _merge_config(args)
+    rules = [bottoming_tail_rule()]
+    eval_cfg = _eval_config(cfg, rules)
     series = _load_series(args.data, cfg["symbol"])
     forecaster = _resolve_forecaster(cfg["model"], cfg["coverage"], series)
-    gate = train_gate_on_series(series, forecaster, [bottoming_tail_rule()], _eval_config(cfg))
+    gate = train_gate_on_series(series, forecaster, rules, eval_cfg)
     _write_text(args.out, model_to_json(gate))
     print(f"gate trained: {gate.dim} features, threshold {gate.threshold}, saved to {args.out}")
     return 0
@@ -203,21 +208,21 @@ def cmd_train_gate(args) -> int:
 
 def cmd_backtest(args) -> int:
     cfg = _merge_config(args)
+    rules = [bottoming_tail_rule()]
+    eval_cfg = _eval_config(cfg, rules)
     series = _load_series(args.data, cfg["symbol"])
     forecaster = _resolve_forecaster(cfg["model"], cfg["coverage"], series)
-    rules = [bottoming_tail_rule()]
-    eval_cfg = _eval_config(cfg)
     if args.gate_model:
         gate = model_from_json(Path(args.gate_model).read_text(encoding="utf-8"))
     else:
         gate = train_gate_on_series(series, forecaster, rules, eval_cfg)
-    records = walk_forward(series, forecaster, gate, rules, eval_cfg)
-    rows = summarize(records, model_label=cfg["model"])
+    table = walk_forward(series, forecaster, gate, rules, eval_cfg)
+    rows = summarize(table, model_label=cfg["model"])
     print(report(rows, "table"), end="")
     if args.report_out:
         _write_text(args.report_out, report(rows, cfg["format"]))
     if args.trace_out:
-        _write_text(args.trace_out, emit_forecast_trace(records, series))
+        _write_text(args.trace_out, emit_forecast_trace(table, series))
     return 0
 
 

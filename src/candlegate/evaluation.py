@@ -3,8 +3,8 @@
 The protocol is strictly chronological: the gate is trained once on the
 earliest fraction of forecast origins (minus an embargo of one horizon so no
 training label peeks into the evaluation segment), then every evaluation
-origin produces one record: forecast, rule verdicts, features, gate decision,
-and the realized direction over the same horizon.
+origin gets one row of the decision table: forecast, rule predicate columns,
+gate score, and the predicted and realized direction over the same horizon.
 """
 
 from __future__ import annotations
@@ -12,26 +12,28 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Sequence
 from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .forecaster import Forecast, Side, direction_of, side_of
+from .forecaster import Forecast, Side, is_up
 from .indicators import blocks
 from .market_data import Series, format_timestamp
 from .reliability_gate import (
     GateDecision,
     GateModel,
     TrainingError,
-    decide,
+    executes,
     feature_names,
     feature_rows,
     gate_decision,
-    meta_label,
     scores,
     train,
 )
-from .rule_engine import Rule, RuleVerdict, predicate_columns, rule_passed, rule_verdicts
+from .rule_engine import (
+    Rule, RuleVerdict, predicate_columns, required_positions, rule_passed, rule_verdicts,
+)
 
 REPORT_CSV_HEADER = "model,side,accuracy,precision,recall,f1,execution_rate"
 TRACE_CSV_HEADER = "origin_timestamp,step,predicted,lower,upper,actual,executed"
@@ -64,16 +66,51 @@ class EvalRecord:
     verdicts: tuple[RuleVerdict, ...]
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    tp: int = 0
-    fp: int = 0
-    tn: int = 0
-    fn: int = 0
+@dataclass(frozen=True, eq=False)
+class EvalTable(Sequence):
+    """Walk-forward decisions as read-only columns, one row per evaluation origin.
+
+    ``rules_ok``: every required rule passed; ``rule_columns``: each rule's predicate
+    column triples; ``required``: the positions of the required rules.  As a sequence
+    the table holds EvalRecords, each built only when read.
+    """
+
+    origins: np.ndarray
+    predicted_up: np.ndarray
+    realized_up: np.ndarray
+    scores: np.ndarray
+    rules_ok: np.ndarray
+    threshold: float
+    forecasts: tuple[Forecast, ...]
+    rules: tuple[Rule, ...] = ()
+    rule_columns: tuple = ()
+    required: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        for name, dtype in (("origins", np.int64), ("predicted_up", bool), ("realized_up", bool),
+                            ("scores", np.float64), ("rules_ok", bool)):
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
+    def executed(self) -> np.ndarray:
+        return executes(self.scores, self.threshold, self.rules_ok)
+
+    def __len__(self) -> int:
+        return len(self.origins)
+
+    def __getitem__(self, i: int) -> EvalRecord:
+        i = range(len(self))[i]
+        verdicts = tuple(rule_verdicts(r, c, [i])[0] for r, c in zip(self.rules, self.rule_columns))
+        return EvalRecord(
+            self.origins.item(i),
+            Side.UP if self.predicted_up[i] else Side.DOWN,
+            Side.UP if self.realized_up[i] else Side.DOWN,
+            gate_decision(self.scores.item(i), self.threshold, tuple(verdicts[p] for p in self.required)),
+            self.forecasts[i],
+            verdicts,
+        )
 
 
 @dataclass(frozen=True)
@@ -107,31 +144,44 @@ def _origin_splits(series: Series, cfg: EvalConfig):
     return train_origins, eval_origins
 
 
-def _block_inputs(series: Series, origins: list[int], forecaster, rules: list[Rule], cfg: EvalConfig):
-    """Forecasts (one forecaster call per origin), per-rule predicate columns
-    and feature rows for one block of origins."""
+def _origin_columns(series: Series, origins: list[int], forecaster, rules: list[Rule], cfg: EvalConfig):
+    """Forecasts (one forecaster call per origin), then per block the rules' predicate
+    column triples and feature rows, concatenated, and the predicted- and realized-Up bits."""
     forecasts = [
         forecaster(series.window(origin - cfg.lookback + 1, origin + 1), cfg.horizon)
         for origin in origins
     ]
-    ends = np.asarray(origins) + 1
-    columns = [predicate_columns(rule, series, ends, cfg.lookback) for rule in rules]
-    passed = np.array([rule_passed(c) for c in columns], dtype=bool).reshape(len(rules), len(ends)).T
+    origins = np.asarray(origins)
     predicted = np.array([forecast.path[-1] for forecast in forecasts])
-    return forecasts, columns, feature_rows(series, ends, cfg.lookback, predicted, passed)
+    per_block, X = [], []
+    for block, block_predicted in zip(blocks(origins), blocks(predicted)):
+        ends = block + 1
+        columns = [predicate_columns(rule, series, ends, cfg.lookback) for rule in rules]
+        passed = np.array([rule_passed(c) for c in columns], dtype=bool).reshape(len(rules), len(ends)).T
+        X.append(feature_rows(series, ends, cfg.lookback, block_predicted, passed))
+        per_block.append(columns)
+    # per_block[block][rule][predicate] is a triple; concatenate each column over blocks.
+    rule_columns = [
+        [tuple(map(np.concatenate, zip(*triples))) for triples in zip(*blocks_of_rule)]
+        for blocks_of_rule in zip(*per_block)
+    ]
+    origin_closes = series.closes[origins]
+    realized_up = is_up(series.closes[origins + cfg.horizon], origin_closes)
+    return forecasts, rule_columns, np.concatenate(X), is_up(predicted, origin_closes), realized_up
 
 
 def train_gate_on_series(series: Series, forecaster, rules: list[Rule], cfg: EvalConfig) -> GateModel:
-    """Fit the gate on the embargoed training segment of the walk-forward split."""
+    """Fit the gate on the embargoed training segment of the walk-forward split.
+
+    The label of an origin is 1 when its predicted direction was realized.
+    """
+    required_positions([rule.name for rule in rules], cfg.required_rules)
     train_origins, _ = _origin_splits(series, cfg)
     if not train_origins:
         raise TrainingError("training segment is empty; lower train_fraction or add data")
-    dataset = []
-    for block in blocks(train_origins):
-        forecasts, _, X = _block_inputs(series, block, forecaster, rules, cfg)
-        dataset.extend(zip(X, (meta_label(forecast, series) for forecast in forecasts)))
+    _, _, X, predicted_up, realized_up = _origin_columns(series, train_origins, forecaster, rules, cfg)
     names = feature_names([rule.name for rule in rules])
-    return train(dataset, threshold=cfg.threshold, names=names)
+    return train(X, predicted_up == realized_up, threshold=cfg.threshold, names=names)
 
 
 def walk_forward(
@@ -140,63 +190,32 @@ def walk_forward(
     gate: GateModel | None,
     rules: list[Rule],
     cfg: EvalConfig,
-) -> list[EvalRecord]:
-    """Chronological evaluation records over the evaluation segment.
+) -> EvalTable:
+    """The decision table over the evaluation segment.
 
     With gate=None the gate is first trained on the training segment; pass a
     pre-trained model to evaluate with train_fraction 0.
     """
+    required = required_positions([rule.name for rule in rules], cfg.required_rules)
     _, eval_origins = _origin_splits(series, cfg)
     if gate is None:
         gate = train_gate_on_series(series, forecaster, rules, cfg)
-
-    records = []
-    for block in blocks(eval_origins):
-        forecasts, columns, X = _block_inputs(series, block, forecaster, rules, cfg)
-        per_rule = [rule_verdicts(rule, c) for rule, c in zip(rules, columns)]
-        verdicts = list(zip(*per_rule)) if rules else [()] * len(block)
-        for origin, forecast, s, v in zip(block, forecasts, scores(gate, X).tolist(), verdicts):
-            origin_close = float(series.closes[origin])
-            records.append(
-                EvalRecord(
-                    origin_index=origin,
-                    predicted=direction_of(forecast, origin_close),
-                    realized=side_of(float(series.closes[origin + cfg.horizon]), origin_close),
-                    decision=decide(s, gate, list(v), cfg.required_rules),
-                    forecast=forecast,
-                    verdicts=v,
-                )
-            )
-    return records
+    forecasts, rule_columns, X, predicted_up, realized_up = _origin_columns(
+        series, eval_origins, forecaster, rules, cfg
+    )
+    rules_ok = np.ones(len(eval_origins), dtype=bool)
+    for p in required:
+        rules_ok &= rule_passed(rule_columns[p])
+    return EvalTable(
+        eval_origins, predicted_up, realized_up, scores(gate, X), rules_ok, gate.threshold,
+        tuple(forecasts), tuple(rules), tuple(rule_columns), required,
+    )
 
 
-def apply_threshold(records: list[EvalRecord], gate: GateModel, threshold: float) -> list[EvalRecord]:
-    """Re-gate existing records at a different threshold from each record's
-    own score and required-rule verdicts, so rule vetoes carry over."""
-    threshold = replace(gate, threshold=threshold).threshold  # validated by GateModel
-    return [
-        replace(r, decision=gate_decision(r.decision.score, threshold, r.decision.rules))
-        for r in records
-    ]
-
-
-def confusion(records: list[EvalRecord], positive: Side, gated: bool) -> ConfusionMatrix:
-    """Counts relative to the designated positive side; gated keeps executed only."""
-    tp = fp = tn = fn = 0
-    for r in records:
-        if gated and not r.decision.executed:
-            continue
-        predicted_positive = r.predicted == positive
-        realized_positive = r.realized == positive
-        if predicted_positive and realized_positive:
-            tp += 1
-        elif predicted_positive and not realized_positive:
-            fp += 1
-        elif not predicted_positive and realized_positive:
-            fn += 1
-        else:
-            tn += 1
-    return ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn)
+def apply_threshold(table: EvalTable, gate: GateModel, threshold: float) -> EvalTable:
+    """The same decisions held to another threshold: the rows keep their
+    scores and required-rule outcomes, so rule vetoes carry over."""
+    return replace(table, threshold=replace(gate, threshold=threshold).threshold)  # validated by GateModel
 
 
 def f1_score(precision: float | None, recall: float | None) -> float | None:
@@ -205,53 +224,37 @@ def f1_score(precision: float | None, recall: float | None) -> float | None:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def metrics(cm: ConfusionMatrix) -> dict:
-    """Accuracy/precision/recall/F1 with explicit None for zero denominators."""
-    accuracy = (cm.tp + cm.tn) / cm.total if cm.total > 0 else None
-    precision = cm.tp / (cm.tp + cm.fp) if cm.tp + cm.fp > 0 else None
-    recall = cm.tp / (cm.tp + cm.fn) if cm.tp + cm.fn > 0 else None
-    return {
-        "accuracy": accuracy,
-        "precision": precision,
-        "recall": recall,
-        "f1": f1_score(precision, recall),
-    }
+def _ratio(num: int, den: int) -> float | None:
+    return num / den if den else None
 
 
-def execution_rate(records: list[EvalRecord]) -> float:
-    if not records:
-        raise ValueError("execution rate of zero records")
-    return sum(1 for r in records if r.decision.executed) / len(records)
+def _count(bits: np.ndarray) -> int:
+    return int(np.count_nonzero(bits))
 
 
-def summarize(records: list[EvalRecord], model_label: str) -> list[MetricsRow]:
+def _metrics_row(model: str, side: Side, predicted: np.ndarray, realized: np.ndarray, rate):
+    """Confusion metrics of the rows' positive-side bits (predicted, realized)."""
+    tp, fp, fn = _count(predicted & realized), _count(predicted & ~realized), _count(~predicted & realized)
+    precision, recall = _ratio(tp, tp + fp), _ratio(tp, tp + fn)
+    accuracy = _ratio(len(predicted) - fp - fn, len(predicted))
+    return MetricsRow(model, side.value, accuracy, precision, recall, f1_score(precision, recall), rate)
+
+
+def summarize(table: EvalTable, model_label: str) -> list[MetricsRow]:
     """Four rows per backtest: ungated and gated, per positive side.
 
-    Confusion metrics re-designate the positive class over all records; the
-    execution rate of a gated row is taken over the records predicting that
-    row's side, which is what makes per-side rates differ.
+    Confusion counts re-designate the positive class over all rows (gated:
+    over the executed rows); the execution rate of a gated row is taken over
+    the rows predicting that row's side, which is what makes per-side rates
+    differ.
     """
+    executed = table.executed
     rows = []
-    for side in (Side.UP, Side.DOWN):
-        side_records = [r for r in records if r.predicted == side]
-        ungated = metrics(confusion(records, side, gated=False))
-        rows.append(
-            MetricsRow(
-                model=model_label,
-                side=side.value,
-                execution_rate=1.0 if records else None,
-                **ungated,
-            )
-        )
-        gated = metrics(confusion(records, side, gated=True))
-        rows.append(
-            MetricsRow(
-                model=f"{model_label}+gate",
-                side=side.value,
-                execution_rate=execution_rate(side_records) if side_records else None,
-                **gated,
-            )
-        )
+    for side, up in ((Side.UP, True), (Side.DOWN, False)):
+        predicted, realized = table.predicted_up == up, table.realized_up == up
+        rows.append(_metrics_row(model_label, side, predicted, realized, 1.0 if len(table) else None))
+        rate = _ratio(_count(predicted & executed), _count(predicted))
+        rows.append(_metrics_row(f"{model_label}+gate", side, predicted[executed], realized[executed], rate))
     return rows
 
 
@@ -329,17 +332,17 @@ def parse_report_json(text: str | bytes) -> list[MetricsRow]:
     return out
 
 
-def emit_forecast_trace(records: list[EvalRecord], series: Series) -> str:
-    """Long-format, plot-ready CSV: one row per record per forecast step."""
+def emit_forecast_trace(table: EvalTable, series: Series) -> str:
+    """Long-format, plot-ready CSV: one row per origin per forecast step."""
     lines = [TRACE_CSV_HEADER]
     closes, timestamps = series.closes.tolist(), series.timestamps.tolist()
-    for r in records:
-        ts = format_timestamp(timestamps[r.origin_index], series.timestamp_format)
-        executed = "true" if r.decision.executed else "false"
-        for k, predicted in enumerate(r.forecast.path):
+    for origin, forecast, executed in zip(table.origins.tolist(), table.forecasts, table.executed.tolist()):
+        ts = format_timestamp(timestamps[origin], series.timestamp_format)
+        flag = "true" if executed else "false"
+        for k, predicted in enumerate(forecast.path):
             step = k + 1
-            lower = repr(r.forecast.lower[k]) if r.forecast.lower is not None else ""
-            upper = repr(r.forecast.upper[k]) if r.forecast.upper is not None else ""
-            actual = repr(closes[r.origin_index + step])
-            lines.append(f"{ts},{step},{predicted!r},{lower},{upper},{actual},{executed}")
+            lower = repr(forecast.lower[k]) if forecast.lower is not None else ""
+            upper = repr(forecast.upper[k]) if forecast.upper is not None else ""
+            actual = repr(closes[origin + step])
+            lines.append(f"{ts},{step},{predicted!r},{lower},{upper},{actual},{flag}")
     return "\n".join(lines) + "\n"

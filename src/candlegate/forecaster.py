@@ -121,14 +121,14 @@ def linreg_forecast(w: Window, horizon: int, coverage: float = DEFAULT_COVERAGE)
     return Forecast(w.end - 1, path, lower, upper)
 
 
+def is_up(close, origin_close):
+    """Up iff strictly above the origin close: a tie is Down, so a flat call never
+    goes long.  Works elementwise on arrays."""
+    return close > origin_close
+
+
 def side_of(close: float, origin_close: float) -> Side:
-    """Up iff strictly above the origin close; a tie is Down, so a flat call never goes long."""
-    return Side.UP if close > origin_close else Side.DOWN
-
-
-def direction_of(forecast: Forecast, last_close: float) -> Side:
-    """Directional call at the horizon endpoint."""
-    return side_of(forecast.path[-1], last_close)
+    return Side.UP if is_up(close, origin_close) else Side.DOWN
 
 
 BASELINES = {

@@ -131,8 +131,3 @@ def volatilities(closes: np.ndarray) -> np.ndarray:
     rets = closes[:, 1:] / closes[:, :-1] - 1.0
     deviations = rets - (np.add.reduce(rets, axis=1) / (length - 1))[:, None]
     return np.sqrt(np.add.reduce(deviations * deviations, axis=1) / (length - 2))
-
-
-def realized_volatility(w: Window) -> float:
-    """Sample standard deviation of one-step fractional close changes."""
-    return float(volatilities(w.closes[None, :])[0])

@@ -15,10 +15,10 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .forecaster import Forecast, direction_of, side_of
+from .forecaster import Forecast
 from .indicators import RESISTANCE, SUPPORT, envelope_lines, volatilities, window_index
 from .market_data import Series, Window
-from .rule_engine import RuleVerdict
+from .rule_engine import RuleVerdict, required_positions
 
 MODEL_FORMAT = 2
 _NUMBER = (int, float)
@@ -84,19 +84,6 @@ def extract_features(w: Window, forecast: Forecast, verdicts: list[RuleVerdict])
     return feature_rows(w.series, np.array([w.end]), len(w), np.array([forecast.path[-1]]), passed)[0]
 
 
-def meta_label(forecast: Forecast, realized: Series) -> int:
-    """1 if the forecast's directional call matched what the series then did."""
-    origin = forecast.origin_index
-    end = origin + forecast.horizon
-    if origin < 0 or end >= len(realized):
-        raise ValueError(
-            f"series of length {len(realized)} does not cover origin {origin} "
-            f"plus horizon {forecast.horizon}"
-        )
-    origin_close = float(realized.closes[origin])
-    return int(direction_of(forecast, origin_close) == side_of(realized.closes[end], origin_close))
-
-
 @dataclass(frozen=True)
 class GateModel:
     weights: tuple[float, ...]
@@ -153,17 +140,15 @@ def _standardize(X: np.ndarray):
     return (X - means) / stds, means, stds
 
 
-def train(
-    dataset,
-    threshold: float = 0.5,
-    names: tuple[str, ...] | None = None,
-) -> GateModel:
-    """Fit the logistic gate by EPOCHS full-batch gradient descent steps of
-    size LEARNING_RATE from zero weights, so the fit is deterministic."""
-    if not dataset:
+def train(X, y, threshold: float = 0.5, names: tuple[str, ...] | None = None) -> GateModel:
+    """Fit the logistic gate to feature rows X and 0/1 labels y by EPOCHS full-batch
+    gradient descent steps of size LEARNING_RATE from zero weights, so the fit is deterministic."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if not len(y):
         raise TrainingError("empty training dataset")
-    X = np.asarray([np.asarray(x, dtype=np.float64) for x, _ in dataset])
-    y = np.asarray([float(label) for _, label in dataset])
+    if X.ndim != 2 or len(X) != len(y):
+        raise TrainingError(f"feature rows of shape {X.shape} for {len(y)} labels")
     classes = set(y.tolist())
     if classes != {0.0, 1.0}:
         raise TrainingError(f"need both labels present, got classes {sorted(classes)}")
@@ -226,9 +211,14 @@ class GateDecision:
         return tuple(lines)
 
 
-def gate_decision(score_value: float, threshold: float, rules: tuple[RuleVerdict, ...]) -> GateDecision:
+def executes(score_values, threshold: float, rules_ok):
     """The execute policy: the score clears the threshold and every required rule passed."""
-    executed = score_value >= threshold and all(v.passed for v in rules)
+    return (score_values >= threshold) & rules_ok
+
+
+def gate_decision(score_value: float, threshold: float, rules: tuple[RuleVerdict, ...]) -> GateDecision:
+    """Execute or abstain by the execute policy, keeping the evidence."""
+    executed = bool(executes(score_value, threshold, all(v.passed for v in rules)))
     return GateDecision(executed, score_value, threshold, rules)
 
 
@@ -239,11 +229,8 @@ def decide(
     required_rules: list[str] | tuple[str, ...] = (),
 ) -> GateDecision:
     """Combine the statistical score with rule verdicts into execute/abstain."""
-    by_name = {v.rule: v for v in verdicts}
-    missing = [name for name in required_rules if name not in by_name]
-    if missing:
-        raise ValueError(f"required rule(s) {missing} not among verdicts")
-    return gate_decision(score_value, model.threshold, tuple(by_name[name] for name in required_rules))
+    positions = required_positions([v.rule for v in verdicts], required_rules)
+    return gate_decision(score_value, model.threshold, tuple(verdicts[p] for p in positions))
 
 
 def model_to_json(model: GateModel) -> str:

@@ -168,12 +168,22 @@ def rule_passed(columns) -> np.ndarray:
 def rule_verdicts(rule: Rule, columns, rows=None) -> list[RuleVerdict]:
     """Verdicts with full traces for the given rows (all by default) of the columns."""
     names = [p.name for p in rule.predicates]
-    values = [tuple(column.tolist() for column in triple) for triple in columns]
     verdicts = []
     for i in range(len(columns[0][0])) if rows is None else rows:
-        trace = tuple(TraceEntry(name, m[i], t[i], ok[i]) for name, (m, t, ok) in zip(names, values))
+        trace = tuple(
+            TraceEntry(name, m.item(i), t.item(i), ok.item(i)) for name, (m, t, ok) in zip(names, columns)
+        )
         verdicts.append(RuleVerdict(rule=rule.name, passed=all(e.passed for e in trace), trace=trace))
     return verdicts
+
+
+def required_positions(rule_names, required) -> tuple[int, ...]:
+    """Positions of the required rules among the named ones, in the order required."""
+    position = {name: i for i, name in enumerate(rule_names)}
+    missing = [name for name in required if name not in position]
+    if missing:
+        raise ValueError(f"required rule(s) {missing} not among rules {list(position)}")
+    return tuple(position[name] for name in required)
 
 
 def evaluate_rule(rule: Rule, w: Window) -> RuleVerdict:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from candlegate.forecaster import Side, direction_of, drift_forecast
+from candlegate.forecaster import Side, drift_forecast, side_of
 from candlegate.market_data import Series
 from candlegate.rule_engine import TAIL_MIN_FRACTION, Predicate, Rule
 
@@ -45,7 +45,7 @@ def make_regime_series(
     for t in range(lookback - 1, n - horizon):
         w = plain.window(t - lookback + 1, t + 1)
         forecast = drift_forecast(w, horizon)
-        predicted = direction_of(forecast, float(closes[t]))
+        predicted = side_of(forecast.path[-1], float(closes[t]))
         realized = Side.UP if closes[t + horizon] > closes[t] else Side.DOWN
         correct[t] = predicted == realized
 

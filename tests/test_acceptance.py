@@ -12,14 +12,12 @@ from candlegate.cli import main
 from candlegate.evaluation import (
     EvalConfig,
     apply_threshold,
-    confusion,
-    execution_rate,
     f1_score,
-    metrics,
+    summarize,
     train_gate_on_series,
     walk_forward,
 )
-from candlegate.forecaster import Side, drift_forecast
+from candlegate.forecaster import drift_forecast
 from candlegate.indicators import (
     fit_resistance_line,
     fit_support_line,
@@ -61,29 +59,25 @@ def test_synthetic_gate_precision_lift():
     )
     rules = [regime_flag_rule()]
     gate = train_gate_on_series(series, drift_forecast, rules, cfg)
-    records = walk_forward(series, drift_forecast, gate, rules, cfg)
+    table = walk_forward(series, drift_forecast, gate, rules, cfg)
     elapsed = time.perf_counter() - start
 
-    lifts = {}
-    rates_ok = True
-    for side in (Side.UP, Side.DOWN):
-        gated = metrics(confusion(records, side, gated=True))
-        ungated = metrics(confusion(records, side, gated=False))
-        lifts[side.value] = (gated["precision"] or 0.0) - (ungated["precision"] or 0.0)
-        side_records = [r for r in records if r.predicted == side]
-        rate = execution_rate(side_records)
-        rates_ok = rates_ok and 0.0 < rate < 1.0
-    overall_rate = execution_rate(records)
+    rows = summarize(table, "drift")
+    ungated = {r.side: r for r in rows if r.model == "drift"}
+    gated = {r.side: r for r in rows if r.model == "drift+gate"}
+    lifts = {side: (gated[side].precision or 0.0) - (ungated[side].precision or 0.0) for side in ungated}
+    rates_ok = all(0.0 < (row.execution_rate or 0.0) < 1.0 for row in gated.values())
+    overall_rate = table.executed.mean()
 
     ok = (
-        len(records) >= 500
+        len(table) >= 500
         and all(lift >= 0.10 for lift in lifts.values())
         and rates_ok
         and 0.0 < overall_rate < 1.0
         and elapsed < 10.0
     )
     detail = (
-        f"{len(records)} origins, lift Up {lifts['Up']:.2f} / Down {lifts['Down']:.2f}, "
+        f"{len(table)} origins, lift Up {lifts['Up']:.2f} / Down {lifts['Down']:.2f}, "
         f"execution {overall_rate:.2f}, {elapsed:.1f}s"
     )
     assert _verdict_line("synthetic-precision-lift", ok, detail)
@@ -154,18 +148,17 @@ def test_threshold_sweep_monotonicity():
     cfg = EvalConfig(lookback=lookback, horizon=horizon, train_fraction=0.5)
     rules = [regime_flag_rule()]
     gate = train_gate_on_series(series, drift_forecast, rules, cfg)
-    records = walk_forward(series, drift_forecast, gate, rules, cfg)
+    table = walk_forward(series, drift_forecast, gate, rules, cfg)
 
     rates, sizes = [], []
     totals_ok = True
     for threshold in np.arange(0.0, 1.0001, 0.05):
-        regated = apply_threshold(records, gate, float(threshold))
-        rates.append(execution_rate(regated))
-        sizes.append(sum(1 for r in regated if r.decision.executed))
-        for side in (Side.UP, Side.DOWN):
-            gated_cm = confusion(regated, side, gated=True)
-            ungated_cm = confusion(regated, side, gated=False)
-            totals_ok = totals_ok and gated_cm.total <= ungated_cm.total
+        executed = apply_threshold(table, gate, float(threshold)).executed
+        rates.append(executed.mean())
+        sizes.append(int(np.count_nonzero(executed)))
+        for up in (True, False):
+            on_side = table.predicted_up == up
+            totals_ok = totals_ok and np.count_nonzero(executed & on_side) <= np.count_nonzero(on_side)
     rate_monotone = all(a >= b for a, b in zip(rates, rates[1:]))
     size_monotone = all(a >= b for a, b in zip(sizes, sizes[1:]))
     ok = rate_monotone and size_monotone and totals_ok

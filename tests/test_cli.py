@@ -175,6 +175,30 @@ def test_train_gate_and_reuse(tmp_path, capsys):
     assert code == 0
 
 
+def test_train_gate_rejects_unknown_required_rule(tmp_path, capsys):
+    model_path = tmp_path / "gate.json"
+    code = main(["train-gate", str(BACKTEST_FIXTURE), *BT_ARGS, "--require-rule", "nope",
+                 "--out", str(model_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "'nope'" in err
+    assert not model_path.exists()
+
+
+def test_backtest_rejects_unknown_required_rule_before_reading_data(monkeypatch, capsys):
+    from candlegate import cli
+
+    def must_not_run(*args):
+        raise AssertionError("the data was read before the rule names were checked")
+
+    monkeypatch.setattr(cli, "_load_series", must_not_run)
+    monkeypatch.setattr(cli, "train_gate_on_series", must_not_run)
+    code = main(["backtest", str(BACKTEST_FIXTURE), *BT_ARGS, "--require-rule", "nope"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "'nope'" in err
+
+
 def _gate_payload(**changes):
     payload = {
         "format": 2,

@@ -1,4 +1,5 @@
 import json
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -6,17 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from candlegate.evaluation import (
-    ConfusionMatrix,
     EvalConfig,
-    EvalRecord,
+    EvalTable,
     MetricsRow,
     _origin_splits,
     apply_threshold,
-    confusion,
     emit_forecast_trace,
-    execution_rate,
     f1_score,
-    metrics,
     parse_report_csv,
     parse_report_json,
     report,
@@ -26,7 +23,7 @@ from candlegate.evaluation import (
 )
 from candlegate.forecaster import Forecast, Side, drift_forecast
 from candlegate.market_data import Series
-from candlegate.reliability_gate import GateDecision, GateModel
+from candlegate.reliability_gate import GateModel, decide
 from candlegate.rule_engine import bottoming_tail_rule
 
 from conftest import candle_rows, make_series
@@ -44,17 +41,31 @@ def _zero_gate(dim=7, threshold=0.5):
     )
 
 
-def _record(predicted, realized, executed, score=0.5, origin=0):
-    decision = GateDecision(executed=executed, score=score, threshold=0.5, rules=())
-    forecast = Forecast(origin, (100.0,) * 2)
-    return EvalRecord(
-        origin_index=origin,
-        predicted=predicted,
-        realized=realized,
-        decision=decision,
-        forecast=forecast,
-        verdicts=(),
+def _table(predicted_up, realized_up, scores, threshold=0.5, rules_ok=None):
+    """A table of hand-made columns and no rule columns; rules_ok defaults to all passed."""
+    n = len(predicted_up)
+    return EvalTable(
+        origins=np.arange(n),
+        predicted_up=predicted_up,
+        realized_up=realized_up,
+        scores=scores,
+        rules_ok=np.ones(n, dtype=bool) if rules_ok is None else rules_ok,
+        threshold=threshold,
+        forecasts=tuple(Forecast(i, (100.0,) * 2) for i in range(n)),
     )
+
+
+def _executed_table(sides):
+    """(predicted, realized, executed) triples as a table: executed rows score 1, others 0."""
+    predicted, realized, executed = zip(*sides) if sides else ((), (), ())
+    return _table(
+        [p == Side.UP for p in predicted], [r == Side.UP for r in realized],
+        [1.0 if e else 0.0 for e in executed],
+    )
+
+
+def _row(rows, model, side):
+    return next(r for r in rows if (r.model, r.side) == (model, side))
 
 
 def test_minimal_series_yields_two_records():
@@ -86,7 +97,7 @@ def test_walk_forward_is_deterministic():
     rules = [regime_flag_rule()]
     r1 = walk_forward(series, drift_forecast, None, rules, cfg)
     r2 = walk_forward(series, drift_forecast, None, rules, cfg)
-    assert r1 == r2
+    assert list(r1) == list(r2)
 
 
 def test_training_embargo_excludes_overlapping_horizons():
@@ -110,72 +121,77 @@ def test_walk_forward_too_short_series():
 
 
 def test_confusion_empty_and_single():
-    assert confusion([], Side.UP, gated=False) == ConfusionMatrix()
-    records = [_record(Side.UP, Side.UP, executed=True)]
-    cm = confusion(records, Side.UP, gated=False)
-    assert (cm.tp, cm.fp, cm.tn, cm.fn) == (1, 0, 0, 0)
+    empty = summarize(_executed_table([]), "m")
+    assert [astuple(r)[2:] for r in empty] == [(None,) * 5] * 4
+    one = summarize(_executed_table([(Side.UP, Side.UP, True)]), "m")
+    assert astuple(_row(one, "m", "Up"))[2:] == (1.0, 1.0, 1.0, 1.0, 1.0)
+    assert astuple(_row(one, "m+gate", "Down"))[2:] == (1.0, None, None, None, None)
 
 
-def test_confusion_matches_counting_oracle():
-    rng = np.random.default_rng(30)
-    sides = [Side.UP, Side.DOWN]
-    records = [
-        _record(
-            predicted=sides[int(rng.integers(2))],
-            realized=sides[int(rng.integers(2))],
-            executed=bool(rng.integers(2)),
-            origin=i,
-        )
-        for i in range(300)
-    ]
-    for positive in sides:
-        for gated in (False, True):
-            cm = confusion(records, positive, gated)
-            pool = [r for r in records if not gated or r.decision.executed]
-            tp, fp, tn, fn = confusion_counts(
-                [(r.predicted, r.realized) for r in pool], positive
-            )
-            assert (cm.tp, cm.fp, cm.tn, cm.fn) == (tp, fp, tn, fn)
-            assert cm.total == len(pool)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_confusion_matches_counting_oracle(data):
+    """summarize on random bit columns, with scores tied at the threshold and
+    one-sided or empty tables, against the counting oracle."""
+    n = data.draw(st.integers(0, 40))
+    bits = st.lists(st.booleans(), min_size=n, max_size=n)
+    predicted_up = data.draw(st.one_of(bits, st.just([True] * n), st.just([False] * n)))
+    realized_up, rules_ok = data.draw(bits), data.draw(bits)
+    # A coarse grid puts many scores exactly at the threshold.
+    grid = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+    scores = data.draw(st.lists(grid, min_size=n, max_size=n))
+    threshold = data.draw(grid)
+    table = _table(predicted_up, realized_up, scores, threshold, rules_ok)
+    rows = summarize(table, "m")
+
+    executed = [s >= threshold and ok for s, ok in zip(scores, rules_ok)]
+    assert table.executed.tolist() == executed
+    side = {True: Side.UP, False: Side.DOWN}
+    ratio = lambda num, den: num / den if den else None
+    for positive in (Side.UP, Side.DOWN):
+        on_side = [e for p, e in zip(predicted_up, executed) if side[p] == positive]
+        for gated, rate in ((False, 1.0 if n else None), (True, ratio(sum(on_side), len(on_side)))):
+            pool = [
+                (side[p], side[r]) for p, r, e in zip(predicted_up, realized_up, executed) if e or not gated
+            ]
+            tp, fp, tn, fn = confusion_counts(pool, positive)
+            precision, recall = ratio(tp, tp + fp), ratio(tp, tp + fn)
+            defined = precision is not None and recall is not None and precision + recall > 0
+            f1 = 2 * precision * recall / (precision + recall) if defined else None
+            row = _row(rows, "m+gate" if gated else "m", positive.value)
+            assert astuple(row)[2:] == (ratio(tp + tn, len(pool)), precision, recall, f1, rate)
 
 
 def test_gated_totals_never_exceed_ungated():
     rng = np.random.default_rng(31)
-    sides = [Side.UP, Side.DOWN]
-    records = [
-        _record(
-            predicted=sides[int(rng.integers(2))],
-            realized=sides[int(rng.integers(2))],
-            executed=bool(rng.integers(2)),
-            origin=i,
-        )
-        for i in range(100)
-    ]
-    for positive in sides:
-        gated = confusion(records, positive, gated=True)
-        ungated = confusion(records, positive, gated=False)
-        assert gated.tp <= ungated.tp
-        assert gated.fp <= ungated.fp
-        assert gated.tn <= ungated.tn
-        assert gated.fn <= ungated.fn
+    table = _table(rng.integers(2, size=100) == 1, rng.integers(2, size=100) == 1, rng.uniform(size=100))
+    executed = table.executed
+    assert 0 < np.count_nonzero(executed) < len(table)
+    for up in (True, False):
+        predicted, realized = table.predicted_up == up, table.realized_up == up
+        for cell in (predicted & realized, predicted & ~realized, ~predicted & realized, ~predicted & ~realized):
+            assert np.count_nonzero(cell & executed) <= np.count_nonzero(cell)
 
 
 def test_metrics_formulas_and_undefined_markers():
-    empty = metrics(ConfusionMatrix())
-    assert empty == {"accuracy": None, "precision": None, "recall": None, "f1": None}
+    empty = _row(summarize(_executed_table([]), "m"), "m", "Up")
+    assert (empty.accuracy, empty.precision, empty.recall, empty.f1) == (None, None, None, None)
 
-    cm = ConfusionMatrix(tp=3, fp=1, tn=4, fn=2)
-    m = metrics(cm)
-    assert m["accuracy"] == pytest.approx(7 / 10)
-    assert m["precision"] == pytest.approx(3 / 4)
-    assert m["recall"] == pytest.approx(3 / 5)
+    # tp=3, fp=1, tn=4, fn=2 with Up as the positive side.
+    up, down = Side.UP, Side.DOWN
+    sides = [(up, up, True)] * 3 + [(up, down, True)] + [(down, down, True)] * 4 + [(down, up, True)] * 2
+    m = _row(summarize(_executed_table(sides), "m"), "m", "Up")
+    assert m.accuracy == pytest.approx(7 / 10)
+    assert m.precision == pytest.approx(3 / 4)
+    assert m.recall == pytest.approx(3 / 5)
     p, r = 3 / 4, 3 / 5
-    assert m["f1"] == pytest.approx(2 * p * r / (p + r))
+    assert m.f1 == pytest.approx(2 * p * r / (p + r))
 
-    no_predictions = metrics(ConfusionMatrix(tp=0, fp=0, tn=5, fn=2))
-    assert no_predictions["precision"] is None
-    assert no_predictions["f1"] is None
-    assert no_predictions["accuracy"] == pytest.approx(5 / 7)
+    never_up = _executed_table([(down, down, True)] * 5 + [(down, up, True)] * 2)
+    no_predictions = _row(summarize(never_up, "m"), "m", "Up")
+    assert no_predictions.precision is None
+    assert no_predictions.f1 is None
+    assert no_predictions.accuracy == pytest.approx(5 / 7)
 
 
 def test_f1_undefined_cases():
@@ -186,26 +202,24 @@ def test_f1_undefined_cases():
 
 
 def test_execution_rate():
-    records = [_record(Side.UP, Side.UP, executed=True, origin=i) for i in range(3)]
-    assert execution_rate(records) == 1.0
-    records = [_record(Side.UP, Side.UP, executed=False, origin=i) for i in range(3)]
-    assert execution_rate(records) == 0.0
-    mixed = [
-        _record(Side.UP, Side.UP, executed=(i < 3), origin=i) for i in range(50)
-    ]
-    assert execution_rate(mixed) == pytest.approx(0.06)
-    with pytest.raises(ValueError):
-        execution_rate([])
+    def gated_up_rate(executed):
+        rows = summarize(_executed_table([(Side.UP, Side.UP, e) for e in executed]), "m")
+        return _row(rows, "m+gate", "Up").execution_rate
+
+    assert gated_up_rate([True] * 3) == 1.0
+    assert gated_up_rate([False] * 3) == 0.0
+    assert gated_up_rate([i < 3 for i in range(50)]) == pytest.approx(0.06)
+    assert gated_up_rate([]) is None
 
 
 def test_summarize_rows_shape():
-    records = [
-        _record(Side.UP, Side.UP, executed=True, origin=0),
-        _record(Side.UP, Side.DOWN, executed=False, origin=1),
-        _record(Side.DOWN, Side.DOWN, executed=True, origin=2),
-        _record(Side.DOWN, Side.UP, executed=True, origin=3),
-    ]
-    rows = summarize(records, "drift")
+    table = _executed_table([
+        (Side.UP, Side.UP, True),
+        (Side.UP, Side.DOWN, False),
+        (Side.DOWN, Side.DOWN, True),
+        (Side.DOWN, Side.UP, True),
+    ])
+    rows = summarize(table, "drift")
     assert [(r.model, r.side) for r in rows] == [
         ("drift", "Up"),
         ("drift+gate", "Up"),
@@ -296,12 +310,12 @@ def test_apply_threshold_monotone_execution():
     cfg = EvalConfig(lookback=20, horizon=3, train_fraction=0.5)
     rules = [regime_flag_rule()]
     gate = train_gate_on_series(series, drift_forecast, rules, cfg)
-    records = walk_forward(series, drift_forecast, gate, rules, cfg)
+    table = walk_forward(series, drift_forecast, gate, rules, cfg)
     rates = []
     sizes = []
     for threshold in np.arange(0.0, 1.0001, 0.05):
-        regated = apply_threshold(records, gate, float(threshold))
-        rates.append(execution_rate(regated))
+        regated = apply_threshold(table, gate, float(threshold))
+        rates.append(regated.executed.mean())
         sizes.append(sum(1 for r in regated if r.decision.executed))
     assert all(a >= b for a, b in zip(rates, rates[1:]))
     assert all(a >= b for a, b in zip(sizes, sizes[1:]))
@@ -322,8 +336,52 @@ def test_apply_threshold_at_gate_threshold_keeps_rule_vetoes():
     gate, records = _regime_records_with_required_rule()
     executed = sum(r.decision.executed for r in records)
     assert 0 < executed < len(records)
+    assert records.executed.tolist() == [r.decision.executed for r in records]
     regated = apply_threshold(records, gate, gate.threshold)
-    assert [r.decision for r in regated] == [r.decision for r in records]
+    assert list(regated) == list(records)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_apply_threshold_sweep_is_monotone(data):
+    n = data.draw(st.integers(1, 40))
+    unit = st.floats(0.0, 1.0)
+    scores = data.draw(st.lists(st.one_of(unit, st.sampled_from([0.0, 0.5, 1.0])), min_size=n, max_size=n))
+    rules_ok = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    thresholds = sorted(data.draw(st.lists(st.one_of(unit, st.sampled_from(scores)), min_size=2, max_size=8)))
+    table = _table(
+        data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), [True] * n, scores, rules_ok=rules_ok
+    )
+    before, before_rates = None, None
+    for t in thresholds:
+        regated = apply_threshold(table, _zero_gate(), t)
+        executed = regated.executed
+        assert regated.threshold == t and np.array_equal(regated.scores, table.scores)
+        assert not (executed & ~table.rules_ok).any()  # a rule veto holds at every threshold
+        rates = [r.execution_rate for r in summarize(regated, "m") if r.model == "m+gate"]
+        if before is not None:
+            assert not (executed & ~before).any()
+            assert all(a is None or b <= a for a, b in zip(before_rates, rates))
+        before, before_rates = executed, rates
+
+
+@pytest.mark.parametrize("required", [(), ("regime_flag",), ("bottoming_tail_candle", "regime_flag")])
+def test_rows_read_on_demand_agree_with_the_columns(required):
+    series = make_regime_series(600, lookback=20, horizon=5, seed=3)
+    rules = [regime_flag_rule(), bottoming_tail_rule(15)]
+    cfg = EvalConfig(lookback=20, horizon=5, train_fraction=0.0, required_rules=required)
+    gate = _zero_gate(dim=9)  # every score is 0.5, exactly the threshold
+    table = walk_forward(series, drift_forecast, gate, rules, cfg)
+    rows = list(table)
+    assert len(rows) == len(table) and table[-1] == rows[-1]
+    with pytest.raises(IndexError):
+        table[len(table)]
+    for i, r in enumerate(rows):
+        assert r.origin_index == table.origins[i] and r.forecast is table.forecasts[i]
+        assert (r.predicted == Side.UP, r.realized == Side.UP) == (table.predicted_up[i], table.realized_up[i])
+        assert [v.rule for v in r.verdicts] == [rule.name for rule in rules]
+        assert r.decision == decide(r.decision.score, gate, list(r.verdicts), required)
+        assert r.decision.executed == table.executed[i]
 
 
 def test_regated_reasons_name_the_new_threshold_and_keep_rule_lines():
@@ -345,14 +403,13 @@ def test_regime_gate_lifts_precision():
     cfg = EvalConfig(lookback=30, horizon=5, train_fraction=0.7)
     rules = [regime_flag_rule()]
     gate = train_gate_on_series(series, drift_forecast, rules, cfg)
-    records = walk_forward(series, drift_forecast, gate, rules, cfg)
-    rate = execution_rate(records)
-    assert 0.0 < rate < 1.0
-    for side in (Side.UP, Side.DOWN):
-        gated = metrics(confusion(records, side, gated=True))
-        ungated = metrics(confusion(records, side, gated=False))
-        assert gated["precision"] is not None and ungated["precision"] is not None
-        assert gated["precision"] >= ungated["precision"] + 0.10
+    table = walk_forward(series, drift_forecast, gate, rules, cfg)
+    assert 0 < np.count_nonzero(table.executed) < len(table)
+    rows = summarize(table, "drift")
+    for side in ("Up", "Down"):
+        gated, ungated = _row(rows, "drift+gate", side), _row(rows, "drift", side)
+        assert gated.precision is not None and ungated.precision is not None
+        assert gated.precision >= ungated.precision + 0.10
 
 
 def _splice(head, tail, start):

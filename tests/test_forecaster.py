@@ -6,15 +6,15 @@ from candlegate.forecaster import (
     Forecast,
     Side,
     coverage_z,
-    direction_of,
     drift_forecast,
+    is_up,
     linreg_forecast,
     load_external_forecasts,
     naive_forecast,
     save_external_forecasts,
     side_of,
 )
-from candlegate.indicators import realized_volatility
+from candlegate.indicators import volatilities
 from candlegate.market_data import ParseError, Series, parse_csv, serialize_csv
 
 from conftest import make_series, make_window
@@ -45,7 +45,7 @@ def test_naive_interval_uses_normal_quantile():
     w = make_window(rng, 30)
     f = naive_forecast(w, horizon=5, coverage=0.68)
     z_oracle = scipy_stats.norm.ppf(0.5 + 0.68 / 2)
-    sigma_price = realized_volatility(w) * float(w.closes[-1])
+    sigma_price = volatilities(w.closes[None, :])[0] * float(w.closes[-1])
     width_step1 = f.path[0] - f.lower[0]
     assert width_step1 == pytest.approx(z_oracle * sigma_price, rel=1e-9)
     assert coverage_z(0.68) == pytest.approx(z_oracle, rel=1e-12)
@@ -109,10 +109,11 @@ def test_linreg_requires_two_points():
 def test_direction_basic_and_tie():
     f_up = Forecast(0, (101.0,))
     f_tie = Forecast(0, (100.0,))
-    assert direction_of(f_up, 100.0) is Side.UP
-    assert direction_of(f_tie, 100.0) is Side.DOWN
+    assert side_of(f_up.path[-1], 100.0) is Side.UP
+    assert side_of(f_tie.path[-1], 100.0) is Side.DOWN
     assert side_of(100.0, 100.0) is Side.DOWN
     assert side_of(float(np.nextafter(100.0, 101.0)), 100.0) is Side.UP
+    assert is_up(np.array([101.0, 100.0, np.nextafter(100.0, 99.0)]), 100.0).tolist() == [True, False, False]
 
 
 def test_direction_scale_invariant():
@@ -123,7 +124,7 @@ def test_direction_scale_invariant():
         scale = float(rng.uniform(0.1, 10))
         f = Forecast(0, path)
         f_scaled = Forecast(0, tuple(v * scale for v in path))
-        assert direction_of(f, last) == direction_of(f_scaled, last * scale)
+        assert side_of(f.path[-1], last) == side_of(f_scaled.path[-1], last * scale)
 
 
 def test_direction_agrees_with_predicted_return_sign():
@@ -134,7 +135,7 @@ def test_direction_agrees_with_predicted_return_sign():
         f = Forecast(0, path)
         predicted_return = (path[-1] - last) / last
         expected = Side.UP if predicted_return > 0 else Side.DOWN
-        assert direction_of(f, last) == expected
+        assert side_of(f.path[-1], last) == expected
 
 
 @pytest.mark.parametrize("builder", [naive_forecast, drift_forecast])

@@ -4,9 +4,9 @@ import pytest
 from candlegate.indicators import (
     fit_resistance_line,
     fit_support_line,
-    realized_volatility,
     resample_line,
     sample_line,
+    volatilities,
     window_stats,
     TrendLine,
 )
@@ -180,12 +180,12 @@ def test_candle_geometry_decomposition():
 
 def test_realized_volatility_constant_is_zero():
     s = _series_from_closes([100.0] * 10)
-    assert realized_volatility(s.window(0, 10)) == 0.0
+    assert volatilities(s.window(0, 10).closes[None, :])[0] == 0.0
 
 
 def test_realized_volatility_hand_case():
     s = _series_from_closes([100.0, 110.0, 99.0])
-    got = realized_volatility(s.window(0, 3))
+    got = volatilities(s.window(0, 3).closes[None, :])[0]
     assert got == pytest.approx(np.std([0.10, -0.10], ddof=1), rel=1e-12)
     assert got == pytest.approx(0.1414213562, abs=1e-9)
 
@@ -195,12 +195,12 @@ def test_realized_volatility_scale_free():
     closes = list(100.0 * np.exp(np.cumsum(rng.normal(0, 0.02, 30))))
     s1 = _series_from_closes(closes)
     s2 = _series_from_closes([2.0 * c for c in closes])
-    v1 = realized_volatility(s1.window(0, 30))
-    v2 = realized_volatility(s2.window(0, 30))
+    v1 = volatilities(s1.window(0, 30).closes[None, :])[0]
+    v2 = volatilities(s2.window(0, 30).closes[None, :])[0]
     assert v1 == pytest.approx(v2, rel=1e-12)
 
 
 def test_realized_volatility_needs_two_candles():
     s = _series_from_closes([100.0])
     with pytest.raises(ValueError):
-        realized_volatility(s.window(0, 1))
+        volatilities(s.window(0, 1).closes[None, :])[0]

@@ -20,7 +20,6 @@ from candlegate.indicators import (
     envelope_lines,
     fit_resistance_line,
     fit_support_line,
-    realized_volatility,
     volatilities,
     window_index,
 )
@@ -134,7 +133,6 @@ def _assert_rows_match_one_origin(series, ends, length, gate, rule):
             float(support[0][i]), float(support[1][i]), SUPPORT)
         assert fit_resistance_line(w) == indicators.TrendLine(
             float(resistance[0][i]), float(resistance[1][i]), RESISTANCE)
-        assert realized_volatility(w) == vols[i]
         verdict = evaluate_rule(rule, w)
         assert verdict == verdicts[i]
         x = extract_features(w, forecasts[i], [verdict])
@@ -223,10 +221,11 @@ def _counting(name, fn, calls):
 
 
 def test_backtest_never_falls_back_to_one_origin_calls(monkeypatch):
-    """Training and walk-forward use the block kernels: no one-origin calls, and
-    exactly one forecaster call per origin."""
-    one_origin = ("fit_support_line", "fit_resistance_line", "realized_volatility",
-                  "evaluate_rule", "extract_features", "score")
+    """A backtest (training, walk-forward, summary, trace) uses the block kernels
+    and the table's columns: no one-origin calls, no per-row decisions or
+    verdicts, and exactly one forecaster call per origin."""
+    one_origin = ("fit_support_line", "fit_resistance_line", "evaluate_rule", "extract_features",
+                  "score", "decide", "gate_decision", "rule_verdicts")
     calls = []
     for module in (evaluation, forecaster, indicators, reliability_gate, rule_engine):
         for name in one_origin:
@@ -240,9 +239,13 @@ def test_backtest_never_falls_back_to_one_origin_calls(monkeypatch):
 
     series = make_series(np.random.default_rng(7), 2_000)
     rule = bottoming_tail_rule()
-    cfg = EvalConfig(lookback=110, horizon=7, train_fraction=0.7)
-    records = walk_forward(series, counting_forecaster, None, [rule], cfg)
+    cfg = EvalConfig(lookback=110, horizon=7, train_fraction=0.7, required_rules=(rule.name,))
+    table = walk_forward(series, counting_forecaster, None, [rule], cfg)
+    evaluation.summarize(table, "drift")
+    evaluation.emit_forecast_trace(table, series)
     train_origins, eval_origins = evaluation._origin_splits(series, cfg)
     assert calls == []
     assert origins == train_origins + eval_origins
-    assert [r.origin_index for r in records] == eval_origins
+    assert table.origins.tolist() == eval_origins
+    table[0]  # a row read builds its decision and verdicts
+    assert sorted(set(calls)) == ["gate_decision", "rule_verdicts"]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from candlegate.evaluation import EvalConfig, walk_forward
 from candlegate.forecaster import Forecast, naive_forecast
 from candlegate.market_data import Series
 from candlegate.reliability_gate import (
@@ -13,7 +14,6 @@ from candlegate.reliability_gate import (
     extract_features,
     feature_names,
     log_loss_and_gradient,
-    meta_label,
     model_from_json,
     model_to_json,
     score,
@@ -77,21 +77,22 @@ def test_extract_features_rejects_non_finite():
         extract_features(w, bad, [])
 
 
+def _label_bits(series, path_end, horizon):
+    """The gate's training labels (predicted direction realized) as the table's
+    bit columns, for forecasts ending at path_end(origin) over lookback 2."""
+    forecaster = lambda w, h: Forecast(w.end - 1, (path_end(w.end - 1),) * h)
+    cfg = EvalConfig(lookback=2, horizon=horizon, train_fraction=0.0)
+    table = walk_forward(series, forecaster, _model([0.0] * 7), [], cfg)
+    return table.origins.tolist(), (table.predicted_up == table.realized_up).tolist()
+
+
 def test_meta_label_basic():
     closes = [100.0, 101.0, 102.0, 103.0, 100.0]
     rows = ((86400 * i, c, c + 1, c - 1, c, 1.0) for i, c in enumerate(closes))
     series = Series.from_rows("X", rows, "epoch")
-    up = Forecast(0, (200.0, 200.0))     # predicts Up over horizon 2
-    assert meta_label(up, series) == 1   # close rises 100 -> 102
-    flat_series = _flat_series(5)
-    up_flat = Forecast(0, (200.0, 200.0))
-    assert meta_label(up_flat, flat_series) == 0  # flat realizes Down by tie rule
-
-
-def test_meta_label_requires_future_data():
-    series = _flat_series(5)
-    with pytest.raises(ValueError, match="horizon"):
-        meta_label(Forecast(3, (1.0, 1.0)), series)
+    up = lambda origin: 200.0   # predicts Up over horizon 2
+    assert _label_bits(series, up, 2) == ([1, 2], [True, False])  # 101 -> 103, then 102 -> 100
+    assert _label_bits(_flat_series(5), up, 2) == ([1, 2], [False, False])  # flat realizes Down by tie rule
 
 
 def test_meta_label_enumerated_fixture():
@@ -99,32 +100,33 @@ def test_meta_label_enumerated_fixture():
     series = make_series(rng, 20)
     closes = series.closes.tolist()
     horizon = 3
-    for origin in range(0, 20 - horizon):
+    origins, labels = _label_bits(
+        series, lambda origin: closes[origin] * (1.01 if origin % 2 == 0 else 0.99), horizon
+    )
+    assert origins == list(range(1, 20 - horizon))
+    for origin, label in zip(origins, labels):
         predicted_up = origin % 2 == 0
-        path_end = closes[origin] * (1.01 if predicted_up else 0.99)
-        forecast = Forecast(origin, (path_end,) * horizon)
         realized_up = closes[origin + horizon] > closes[origin]
-        expected = 1 if (predicted_up == realized_up) else 0
-        assert meta_label(forecast, series) == expected
+        assert label == (predicted_up == realized_up)
 
 
 def _separable_dataset(n=50):
     rng = np.random.default_rng(21)
-    dataset = []
+    X, y = [], []
     for _ in range(n):
         label = int(rng.integers(0, 2))
-        x0 = rng.normal(2.0 if label else -2.0, 0.3)
-        dataset.append((np.array([x0, 1.0]), label))
-    return dataset
+        X.append([rng.normal(2.0 if label else -2.0, 0.3), 1.0])
+        y.append(label)
+    return np.array(X), np.array(y)
 
 
 def test_train_separates_linearly_separable_data():
-    dataset = _separable_dataset()
-    model = train(dataset)
+    X, y = _separable_dataset()
+    model = train(X, y)
     correct = sum(
-        (score(model, x) >= 0.5) == bool(y) for x, y in dataset
+        (score(model, x) >= 0.5) == bool(label) for x, label in zip(X, y)
     )
-    assert correct == len(dataset)
+    assert correct == len(y)
 
 
 def test_zero_weights_score_half():
@@ -172,9 +174,7 @@ def test_gradient_matches_central_differences():
 
 
 def test_training_loss_non_increasing_at_small_lr():
-    dataset = _separable_dataset()
-    X = np.array([x for x, _ in dataset])
-    y = np.array([float(l) for _, l in dataset])
+    X, y = _separable_dataset()
     means, stds = X.mean(axis=0), X.std(axis=0)
     stds[stds == 0.0] = 1.0
     means[X.std(axis=0) == 0.0] = 0.0
@@ -189,23 +189,21 @@ def test_training_loss_non_increasing_at_small_lr():
 
 
 def test_train_rejects_single_class():
-    dataset = [(np.array([1.0, 1.0]), 1) for _ in range(10)]
     with pytest.raises(TrainingError, match="both labels"):
-        train(dataset)
+        train(np.ones((10, 2)), np.ones(10))
 
 
 def test_train_rejects_empty():
     with pytest.raises(TrainingError, match="empty"):
-        train([])
+        train(np.empty((0, 2)), [])
+    with pytest.raises(TrainingError, match="shape"):
+        train(np.ones((3, 2)), [0, 1])
 
 
 def test_train_flags_non_finite_loss():
-    dataset = [
-        (np.array([float("nan"), 1.0]), 0),
-        (np.array([1.0, 1.0]), 1),
-    ]
+    X = np.array([[float("nan"), 1.0], [1.0, 1.0]])
     with pytest.raises(TrainingError, match="non-finite"):
-        train(dataset)
+        train(X, [0, 1])
 
 
 def test_decide_score_only():
@@ -272,8 +270,7 @@ def test_raising_threshold_never_enables_execution():
 
 
 def test_model_json_roundtrip():
-    dataset = _separable_dataset()
-    model = train(dataset, names=("x", "bias"))
+    model = train(*_separable_dataset(), names=("x", "bias"))
     text = model_to_json(model)
     payload = json.loads(text)
     assert payload["format"] == 2
@@ -313,8 +310,7 @@ def test_model_json_format_1_still_loads():
 
 
 def test_model_json_rejects_unknown_format():
-    dataset = _separable_dataset()
-    model = train(dataset)
+    model = train(*_separable_dataset())
     payload = json.loads(model_to_json(model))
     payload["format"] = 99
     with pytest.raises(ValueError, match="format"):
