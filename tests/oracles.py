@@ -7,6 +7,7 @@ into candlegate, so a bug in the engine cannot hide in its own oracle.
 from __future__ import annotations
 
 import math
+from datetime import date
 from typing import NamedTuple
 
 
@@ -139,3 +140,65 @@ def first_row_fault(rows):
             return i, f"timestamps must be strictly increasing ({ts} after {prev})"
         prev = ts
     return None
+
+
+def reference_timestamp(text: str):
+    """Epoch seconds of an integer epoch or an ISO date label, or None."""
+    text = text.strip()
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return (date.fromisoformat(text) - date(1970, 1, 1)).days * 86_400
+    except ValueError:
+        return None
+
+
+def load_forecast_rows(rows, has_interval: bool):
+    """Reference reading of the external forecast CSV's data rows, one row at a time.
+
+    ``rows`` holds the cell lists of file lines 2, 3, ...  Returns
+    ``(forecasts, None)``, one ``(timestamp, path, lower, upper)`` per origin in
+    file order, or ``(None, (line, message))`` for the first fault: every row is
+    read before any origin is checked as a whole.
+    """
+    width = 5 if has_interval else 3
+    groups = []  # [timestamp, label, first line, [(step, values), ...]]
+    for line, cells in enumerate(rows, start=2):
+        if len(cells) != width:
+            return None, (line, f"expected {width} fields, got {len(cells)}: {cells!r}")
+        ts = reference_timestamp(cells[0])
+        if ts is None:
+            return None, (line, f"timestamp {cells[0].strip()!r} is neither epoch seconds nor an ISO date")
+        try:
+            step = int(cells[1])
+        except ValueError:
+            return None, (line, f"step {cells[1]!r} is not an integer")
+        try:
+            values = [float(x) for x in cells[2:]]
+        except ValueError:
+            return None, (line, f"non-numeric value in {cells[2:]!r}")
+        if not all(math.isfinite(v) for v in values):
+            return None, (line, f"non-finite value in {cells[2:]!r}")
+        if not groups or groups[-1][0] != ts:
+            if any(group[0] == ts for group in groups):
+                return None, (line, f"rows for origin {cells[0]} are not grouped together")
+            groups.append([ts, cells[0], line, []])
+        groups[-1][3].append((step, values))
+
+    forecasts = []
+    for ts, label, line, steps in groups:
+        steps = sorted(steps, key=lambda item: item[0])
+        got = [step for step, _ in steps]
+        if got != list(range(1, len(got) + 1)):
+            return None, (line, f"origin {label}: steps must be contiguous from 1, got {got}")
+        path = tuple(values[0] for _, values in steps)
+        lower = upper = None
+        if has_interval:
+            lower = tuple(values[1] for _, values in steps)
+            upper = tuple(values[2] for _, values in steps)
+            if not all(lo <= p <= hi for lo, p, hi in zip(lower, path, upper)):
+                return None, (line, f"origin {label}: interval must bracket the path pointwise")
+        forecasts.append((ts, path, lower, upper))
+    return forecasts, None

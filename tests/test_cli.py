@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 
 from candlegate.cli import main
 from candlegate.forecaster import load_external_forecasts
+from candlegate.market_data import format_timestamp, parse_csv
 from candlegate.reliability_gate import model_from_json
 
 from conftest import BACKTEST_FIXTURE, BTC_FIXTURE, PLANTED_FIXTURE
@@ -330,3 +332,112 @@ def test_config_file_rejects_mistyped_values(tmp_path, capsys, config, message):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and message in err
+
+
+def _external_forecast_csv(series, with_interval: bool) -> str:
+    """A forecast for every origin of the demo fixture, one horizon of 3 steps,
+    written by hand so the file does not depend on any forecaster."""
+    header = "origin_timestamp,step,predicted_close" + (",lower,upper" if with_interval else "")
+    lines = [header]
+    closes = series.closes.tolist()
+    for t in range(94, len(series)):
+        label = format_timestamp(int(series.timestamps[t]), series.timestamp_format)
+        sign = 1.0 if t % 3 else -1.0
+        for k in range(1, 4):
+            p = closes[t] * (1.0 + sign * 0.002 * k)
+            extra = f",{p - 0.5 * k!r},{p + 0.5 * k!r}" if with_interval else ""
+            lines.append(f"{label},{k},{p!r}{extra}")
+    return "\n".join(lines) + "\n"
+
+
+GOLDEN_MODELS = {
+    "naive": ["--model", "naive"],
+    "drift": ["--model", "drift"],
+    "linreg": ["--model", "linreg"],
+    "linreg_95": ["--model", "linreg", "--coverage", "0.95"],
+    "external": ["--model", "external:ext.csv"],
+    "external_no_interval": ["--model", "external:ext_plain.csv"],
+}
+
+
+def _golden_outputs(model: str, workdir: Path, capsys) -> dict[str, bytes]:
+    """Every byte a backtest, train-gate and forecast run writes, by artifact."""
+    series = parse_csv(BACKTEST_FIXTURE.read_bytes())
+    (workdir / "ext.csv").write_text(_external_forecast_csv(series, True))
+    (workdir / "ext_plain.csv").write_text(_external_forecast_csv(series, False))
+    flags = [*BT_ARGS, *GOLDEN_MODELS[model]]
+    data = str(BACKTEST_FIXTURE)
+    outputs = {}
+    capsys.readouterr()
+    assert main(["backtest", data, *flags, "--format", "csv", "--report-out", "report.csv",
+                 "--trace-out", "trace.csv"]) == 0
+    outputs["backtest_stdout"] = capsys.readouterr().out.encode()
+    assert main(["backtest", data, *flags, "--format", "json", "--report-out", "report.json"]) == 0
+    capsys.readouterr()
+    assert main(["train-gate", data, *flags, "--out", "gate.json"]) == 0
+    capsys.readouterr()
+    assert main(["forecast", data, *flags]) == 0
+    outputs["forecast_csv"] = capsys.readouterr().out.encode()
+    for name in ("report.csv", "report.json", "trace.csv", "gate.json"):
+        outputs[name] = (workdir / name).read_bytes()
+    return outputs
+
+
+GOLDEN_SHA256 = {  # computed before the forecasters became block kernels
+    'drift': {
+        'backtest_stdout': 'c059214584dbc5443e7e071574fe61ac3d483f58be17879649e4fed89f03041e',
+        'forecast_csv': '28f6c908c52fdb6c73581e6a63c15c8be660abb7d836c874a88f1445050691bb',
+        'report.csv': '1105233305cadd3f7227ff8ed8960e35aeb30c2ba8a7c4c7f59b0d9ae57a4131',
+        'report.json': 'b0cd7f919d7f678369da574eadec65d33698bb1c339e0451be5cd0a45d4cdd23',
+        'trace.csv': 'a49db7e09fa2b4e5f371b91998317d8897dca0cad505e9bde0236f85e57ce18a',
+        'gate.json': 'b12ab46e132f9209819e0dfb93047676a3fd5f14a92d6d7473ddfd8ba340b57a',
+    },
+    'external': {
+        'backtest_stdout': '6945d2123fb3a2328f2457d034b0f7a8e16c5fb601569c1d04263e642db7b38a',
+        'forecast_csv': '197b415d39477f6e56a11ea25ced43695da02211a1dbcada74fa4f3dc12225ef',
+        'report.csv': '1ad858caa051d048d069ee3ff8dcb18e48698c07f80f7bb662c1db3595dc63e9',
+        'report.json': 'ca0fb62a73334fadbfce889db02ed4f6af26b13e21a014a7887b83c124afc1bc',
+        'trace.csv': 'f4de51f1626f153fac8436d983a3d579216a85848b2d470106beec0bf9ce27e8',
+        'gate.json': 'f8f1fc89c08b67f3cef80a944008dc3b0937f7681d8bce4a0783f632dbc17d45',
+    },
+    'external_no_interval': {
+        'backtest_stdout': '9342e716cdb06d2ec19aa174016ceeba13edb94b2a7f09bb7dd8ee79a5fa4abe',
+        'forecast_csv': '2d1b510369c30809e37112027d5fad49b12358229fd03256491c841ba3518d98',
+        'report.csv': '8f344353aa81bc3368997c128a588d03454c2996eb00024f5e71e95c2afd7923',
+        'report.json': '4b693583df96c1be6eee20454552012fdfefcd62a7c46edce77894e80bcacba8',
+        'trace.csv': '1b3f9f4991b15bcf18d785b61a95eedd76fb4f1c2f8fda44e3209290644c7c7c',
+        'gate.json': 'f8f1fc89c08b67f3cef80a944008dc3b0937f7681d8bce4a0783f632dbc17d45',
+    },
+    'linreg': {
+        'backtest_stdout': '58daccd1a3ac7fa3a8df0793ddaf4013bdecb87d588d7c5a03dda2e40612fce1',
+        'forecast_csv': '5447e383b9338c207d978613dbae0ed55e248adbd57fc2373c87462a03233aa9',
+        'report.csv': '43de41f35abf1c752794f3beaa89c3735003d3adce7b22921c999118f4e044bc',
+        'report.json': '4049b156dac7e1487f3559505bc088e1565eddc1715b3abc9ffd677366b509ef',
+        'trace.csv': '7cfa453f8faf726a00c3d4f98b483174a3863dff6d2f32eb02a6ac2ab972b6e0',
+        'gate.json': 'f26e66d1527384b31cbdb3a225eec961c58f03feba5f85db1ec87d012d6fee05',
+    },
+    'linreg_95': {
+        'backtest_stdout': '58daccd1a3ac7fa3a8df0793ddaf4013bdecb87d588d7c5a03dda2e40612fce1',
+        'forecast_csv': '399818681c0b9c7e57532d5c907a78edce7d2566f7795b21f3646a6be9ca0cc9',
+        'report.csv': '43de41f35abf1c752794f3beaa89c3735003d3adce7b22921c999118f4e044bc',
+        'report.json': '4049b156dac7e1487f3559505bc088e1565eddc1715b3abc9ffd677366b509ef',
+        'trace.csv': '4079e7563e58d2e0fcba53b731784bac3cec5c2c62f1f2285163b06ba14a866f',
+        'gate.json': 'f26e66d1527384b31cbdb3a225eec961c58f03feba5f85db1ec87d012d6fee05',
+    },
+    'naive': {
+        'backtest_stdout': '52c7e486140f9ca3d165757d556232c5cd3b55d68ff490d67e320282b3fc308d',
+        'forecast_csv': 'ff5be45c11c6f4a3c3e26b363208908f0340a9f5ebfd0cfddc01c3a4c12d27a1',
+        'report.csv': '2d28b6f6659c436546f961f23dbb4152ab4b5afeaf82d9ad810c9ad86403017c',
+        'report.json': 'e5c3ada6c08bc5b756b4319bb8ddf6fba2c1529e4ea106117b074fff66e775b1',
+        'trace.csv': 'c35fe45693c98aec034ccb809988575d6e7ea5f73fd3e8d20940caad55ce7376',
+        'gate.json': 'd91de662c7cb0c766976dcf01193514c4ab81dae63a94ed4262f3dde52ee3d8b',
+    },
+}
+
+
+@pytest.mark.parametrize("model", sorted(GOLDEN_MODELS))
+def test_outputs_are_byte_identical_to_the_golden_digests(model, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    outputs = _golden_outputs(model, tmp_path, capsys)
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+    assert digests == GOLDEN_SHA256[model]

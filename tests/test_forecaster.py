@@ -1,8 +1,14 @@
+from datetime import date
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from candlegate.forecaster import (
+    EXTERNAL_HEADER_BASE,
+    EXTERNAL_HEADER_FULL,
     Forecast,
     Side,
     coverage_z,
@@ -18,7 +24,7 @@ from candlegate.indicators import volatilities
 from candlegate.market_data import ParseError, Series, parse_csv, serialize_csv
 
 from conftest import make_series, make_window
-from oracles import least_squares_line
+from oracles import least_squares_line, load_forecast_rows
 
 
 def _series_from_closes(closes):
@@ -269,3 +275,105 @@ def test_save_external_rejects_mixed_intervals():
     without = Forecast(0, (1.0,))
     with pytest.raises(ValueError, match="intervals"):
         save_external_forecasts([(0, with_iv), (86400, without)])
+
+
+DAY = 86_400
+VALUE = st.floats(min_value=-1e12, max_value=1e12)
+# Faults that read a cell come before those that break cells or rows; "none" plants nothing.
+FORECAST_FAULTS = ("none", "gap", "bracket", "ungrouped", "timestamp", "step", "non_numeric", "non_finite",
+                   "field_count")
+
+
+def _day_label(day: int, flavour: str) -> str:
+    return str(day * DAY) if flavour == "epoch" else date.fromordinal(719163 + day).isoformat()
+
+
+def _plant_forecast_fault(draw, kind, rows, has_interval):
+    """Plant one fault of the given kind in a drawn row."""
+    i = draw(st.integers(0, len(rows) - 1))
+    cells = rows[i]
+    try:
+        if kind == "gap":
+            cells[1] = str(int(cells[1]) + draw(st.integers(1, 3)))
+        elif kind == "bracket" and has_interval:
+            # The path leaves the interval above on odd rows, below on even rows.
+            cells[2] = repr(float(cells[4]) + 1.0) if i % 2 else repr(float(cells[3]) - 1.0)
+    except ValueError:
+        pass  # an earlier fault already broke the cell
+    if kind == "ungrouped":
+        rows[-1][0] = rows[0][0]
+    elif kind == "timestamp":
+        cells[0] = draw(st.sampled_from(["2024-13-40", "yesterday", "1.5e9"]))
+    elif kind == "step":
+        cells[1] = draw(st.sampled_from(["1.5", "one", ""]))
+    elif kind == "non_numeric":
+        cells[draw(st.integers(2, len(cells) - 1))] = "abc"
+    elif kind == "non_finite":
+        cells[draw(st.integers(2, len(cells) - 1))] = draw(st.sampled_from(["nan", "inf", "-inf"]))
+    elif kind == "field_count":
+        if draw(st.booleans()):
+            cells.pop()
+        else:
+            cells.append("1.0")
+
+
+@st.composite
+def forecast_rows(draw):
+    """(has_interval, rows): up to 4 origins of 1-4 steps each, grouped, steps in any
+    order, and up to 2 planted faults.  Each row is a list of cell strings."""
+    has_interval = draw(st.booleans())
+    flavour = draw(st.sampled_from(["epoch", "iso"]))
+    rows = []
+    for day in draw(st.lists(st.integers(19_000, 19_100), min_size=1, max_size=4, unique=True)):
+        steps = list(range(1, draw(st.integers(1, 4)) + 1))
+        for step in draw(st.permutations(steps)):
+            lower, path, upper = sorted(draw(st.lists(VALUE, min_size=3, max_size=3)))
+            interval = [repr(lower), repr(upper)] if has_interval else []
+            rows.append([_day_label(day, flavour), str(step), repr(path), *interval])
+    for kind in sorted(draw(st.lists(st.sampled_from(FORECAST_FAULTS), min_size=1, max_size=2)),
+                       key=FORECAST_FAULTS.index):
+        _plant_forecast_fault(draw, kind, rows, has_interval)
+    return has_interval, rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(forecast_rows())
+def test_load_external_matches_row_at_a_time_reference(case):
+    has_interval, rows = case
+    header = EXTERNAL_HEADER_FULL if has_interval else EXTERNAL_HEADER_BASE
+    text = header + "\n" + "".join(",".join(cells) + "\n" for cells in rows)
+    expected, fault = load_forecast_rows(rows, has_interval)
+    if fault is not None:
+        line, message = fault
+        with pytest.raises(ParseError) as excinfo:
+            load_external_forecasts(text)
+        assert excinfo.value.line == line
+        assert str(excinfo.value) == f"line {line}: {message}"
+        return
+    loaded = load_external_forecasts(text)
+    assert [(ts, f.origin_index, f.path, f.lower, f.upper) for ts, f in loaded] == [
+        (ts, -1, path, lower, upper) for ts, path, lower, upper in expected
+    ]
+
+
+@st.composite
+def saved_forecasts(draw):
+    """(items, flavour): forecasts as the loader returns them without a series."""
+    flavour = draw(st.sampled_from(["epoch", "iso"]))
+    has_interval = draw(st.booleans())
+    days = st.integers(0, 2_900_000) if flavour == "iso" else st.integers(-(10**9), 10**9)
+    items = []
+    for day in draw(st.lists(days, min_size=1, max_size=5, unique=True)):
+        triples = draw(st.lists(st.lists(VALUE, min_size=3, max_size=3).map(sorted), min_size=1, max_size=4))
+        lower, path, upper = (tuple(column) for column in zip(*triples))
+        if not has_interval:
+            lower = upper = None
+        items.append((day * DAY if flavour == "iso" else day, Forecast(-1, path, lower, upper)))
+    return items, flavour
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(saved_forecasts())
+def test_save_then_load_returns_the_input(case):
+    items, flavour = case
+    assert load_external_forecasts(save_external_forecasts(items, flavour)) == items
