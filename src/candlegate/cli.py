@@ -27,8 +27,10 @@ from .evaluation import (
     walk_forward,
 )
 from .forecaster import (
-    BASELINES,
     DEFAULT_COVERAGE,
+    KERNELS,
+    Baseline,
+    ExternalForecaster,
     load_external_forecasts,
     save_external_forecasts,
 )
@@ -105,28 +107,15 @@ def _trailing_window(series: Series, lookback: int) -> Window:
     return series.window(len(series) - lookback, len(series))
 
 
-def _resolve_forecaster(name: str, coverage: float, series: Series):
-    if name in BASELINES:
-        baseline = BASELINES[name]
-        return lambda w, horizon: baseline(w, horizon, coverage=coverage)
+def _resolve_forecaster(name: str, coverage: float, series: Series, horizon: int):
+    """The named forecaster.  External forecasts are stacked and checked against the
+    horizon once, here."""
+    if name in KERNELS:
+        return Baseline(KERNELS[name], coverage)
     if name.startswith("external:"):
         path = name.split(":", 1)[1]
         loaded = load_external_forecasts(Path(path).read_bytes(), series=series)
-        by_ts = {ts: f for ts, f in loaded}
-
-        def external(w: Window, horizon: int):
-            ts = int(w.series.timestamps[w.end - 1])
-            forecast = by_ts.get(ts)
-            if forecast is None:
-                label = format_timestamp(ts, series.timestamp_format)
-                raise ValueError(f"no external forecast for origin {label}")
-            if forecast.horizon != horizon:
-                raise ValueError(
-                    f"external forecast horizon {forecast.horizon} != configured {horizon}"
-                )
-            return forecast
-
-        return external
+        return ExternalForecaster.from_loaded(loaded, horizon)
     raise ValueError(f"unknown forecaster {name!r} (naive|drift|linreg|external:PATH)")
 
 
@@ -178,7 +167,7 @@ def cmd_rules_scan(args) -> int:
 def cmd_forecast(args) -> int:
     cfg = _merge_config(args)
     series = _load_series(args.data, cfg["symbol"])
-    forecaster = _resolve_forecaster(cfg["model"], cfg["coverage"], series)
+    forecaster = _resolve_forecaster(cfg["model"], cfg["coverage"], series, cfg["horizon"])
     w = _trailing_window(series, cfg["lookback"])
     forecast = forecaster(w, cfg["horizon"])
     ts = int(series.timestamps[w.end - 1])
@@ -199,7 +188,7 @@ def cmd_train_gate(args) -> int:
     rules = [bottoming_tail_rule()]
     eval_cfg = _eval_config(cfg, rules)
     series = _load_series(args.data, cfg["symbol"])
-    forecaster = _resolve_forecaster(cfg["model"], cfg["coverage"], series)
+    forecaster = _resolve_forecaster(cfg["model"], cfg["coverage"], series, cfg["horizon"])
     gate = train_gate_on_series(series, forecaster, rules, eval_cfg)
     _write_text(args.out, model_to_json(gate))
     print(f"gate trained: {gate.dim} features, threshold {gate.threshold}, saved to {args.out}")
@@ -211,7 +200,7 @@ def cmd_backtest(args) -> int:
     rules = [bottoming_tail_rule()]
     eval_cfg = _eval_config(cfg, rules)
     series = _load_series(args.data, cfg["symbol"])
-    forecaster = _resolve_forecaster(cfg["model"], cfg["coverage"], series)
+    forecaster = _resolve_forecaster(cfg["model"], cfg["coverage"], series, cfg["horizon"])
     if args.gate_model:
         gate = model_from_json(Path(args.gate_model).read_text(encoding="utf-8"))
     else:

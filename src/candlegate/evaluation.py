@@ -17,7 +17,7 @@ from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .forecaster import Forecast, Side, is_up
+from .forecaster import Forecast, Forecasts, Side, forecasts_at, is_up
 from .indicators import blocks
 from .market_data import Series, format_timestamp
 from .reliability_gate import (
@@ -70,9 +70,10 @@ class EvalRecord:
 class EvalTable(Sequence):
     """Walk-forward decisions as read-only columns, one row per evaluation origin.
 
-    ``rules_ok``: every required rule passed; ``rule_columns``: each rule's predicate
-    column triples; ``required``: the positions of the required rules.  As a sequence
-    the table holds EvalRecords, each built only when read.
+    ``rules_ok``: every required rule passed; ``forecasts``: the forecast columns;
+    ``rule_columns``: each rule's predicate column triples; ``required``: the positions
+    of the required rules.  As a sequence the table holds EvalRecords, each built only
+    when read.
     """
 
     origins: np.ndarray
@@ -81,7 +82,7 @@ class EvalTable(Sequence):
     scores: np.ndarray
     rules_ok: np.ndarray
     threshold: float
-    forecasts: tuple[Forecast, ...]
+    forecasts: Forecasts
     rules: tuple[Rule, ...] = ()
     rule_columns: tuple = ()
     required: tuple[int, ...] = ()
@@ -145,14 +146,11 @@ def _origin_splits(series: Series, cfg: EvalConfig):
 
 
 def _origin_columns(series: Series, origins: list[int], forecaster, rules: list[Rule], cfg: EvalConfig):
-    """Forecasts (one forecaster call per origin), then per block the rules' predicate
-    column triples and feature rows, concatenated, and the predicted- and realized-Up bits."""
-    forecasts = [
-        forecaster(series.window(origin - cfg.lookback + 1, origin + 1), cfg.horizon)
-        for origin in origins
-    ]
+    """Forecasts, then per block the rules' predicate column triples and feature rows,
+    concatenated, and the predicted- and realized-Up bits."""
     origins = np.asarray(origins)
-    predicted = np.array([forecast.path[-1] for forecast in forecasts])
+    forecasts = forecasts_at(forecaster, series, origins, cfg.lookback, cfg.horizon)
+    predicted = forecasts.paths[:, -1]
     per_block, X = [], []
     for block, block_predicted in zip(blocks(origins), blocks(predicted)):
         ends = block + 1
@@ -208,7 +206,7 @@ def walk_forward(
         rules_ok &= rule_passed(rule_columns[p])
     return EvalTable(
         eval_origins, predicted_up, realized_up, scores(gate, X), rules_ok, gate.threshold,
-        tuple(forecasts), tuple(rules), tuple(rule_columns), required,
+        forecasts, tuple(rules), tuple(rule_columns), required,
     )
 
 
@@ -336,13 +334,16 @@ def emit_forecast_trace(table: EvalTable, series: Series) -> str:
     """Long-format, plot-ready CSV: one row per origin per forecast step."""
     lines = [TRACE_CSV_HEADER]
     closes, timestamps = series.closes.tolist(), series.timestamps.tolist()
-    for origin, forecast, executed in zip(table.origins.tolist(), table.forecasts, table.executed.tolist()):
+    forecasts = table.forecasts
+    if forecasts.lower is None:
+        lowers = uppers = [[""] * forecasts.horizon] * len(forecasts)
+    else:
+        lowers, uppers = ([list(map(repr, row)) for row in bound.tolist()] for bound in (forecasts.lower, forecasts.upper))
+    rows = zip(table.origins.tolist(), forecasts.paths.tolist(), lowers, uppers, table.executed.tolist())
+    for origin, path, lower, upper, executed in rows:
         ts = format_timestamp(timestamps[origin], series.timestamp_format)
         flag = "true" if executed else "false"
-        for k, predicted in enumerate(forecast.path):
+        for k, predicted in enumerate(path):
             step = k + 1
-            lower = repr(forecast.lower[k]) if forecast.lower is not None else ""
-            upper = repr(forecast.upper[k]) if forecast.upper is not None else ""
-            actual = repr(closes[origin + step])
-            lines.append(f"{ts},{step},{predicted!r},{lower},{upper},{actual},{flag}")
+            lines.append(f"{ts},{step},{predicted!r},{lower[k]},{upper[k]},{closes[origin + step]!r},{flag}")
     return "\n".join(lines) + "\n"

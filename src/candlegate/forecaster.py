@@ -1,6 +1,9 @@
 """Primary forecasters (M1): multi-step baselines and external prediction import.
 
-Baselines are deterministic functions of the lookback window.  External model
+Forecasts at many origins are held as read-only columns (Forecasts), one row
+per origin and one column per step.  The baselines are kernels on the gathered
+(N, L) close windows of a block of origins and work row by row; the
+one-window functions run the same kernel on one row.  External model
 predictions enter through a long-format CSV keyed by origin timestamp; joins
 are exact, never nearest-match.
 """
@@ -11,12 +14,14 @@ import csv
 import enum
 import io
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from statistics import NormalDist
 
 import numpy as np
 
-from .indicators import volatilities
+from .indicators import blocks, volatilities, window_index
 from .market_data import ParseError, Series, Window, _decode, _parse_timestamp, format_timestamp
 
 EXTERNAL_HEADER_BASE = "origin_timestamp,step,predicted_close"
@@ -33,6 +38,35 @@ class Side(enum.Enum):
         return self.value
 
 
+def _first_fault(paths: np.ndarray, lower=None, upper=None) -> tuple[int, str] | None:
+    """(row, message) of the first forecast along axis 0 that breaks an invariant, or None.
+
+    This is the one statement of the forecast invariants: a non-empty path,
+    an interval of both bounds shaped like the path, finite values, and an
+    interval that brackets the path.  The last axis holds the steps; a fault
+    of the shapes is reported at row 0.
+    """
+    if paths.shape[-1] == 0:
+        return 0, "forecast path is empty"
+    if (lower is None) != (upper is None):
+        return 0, "interval needs both lower and upper paths"
+    if lower is not None and not lower.shape == paths.shape == upper.shape:
+        return 0, "interval paths must match the horizon"
+    if lower is None:
+        lower = upper = paths
+    # Finite bounds that bracket the path make a finite path.
+    ok = np.isfinite(lower) & np.isfinite(upper) & (lower <= paths) & (paths <= upper)
+    if np.count_nonzero(ok) == ok.size:
+        return None
+    checks = (
+        ("forecast values must be finite", ~np.isfinite(np.stack((lower, paths, upper))).all(axis=0)),
+        ("interval must bracket the path pointwise", ~((lower <= paths) & (paths <= upper))),
+    )
+    faults = np.stack([bad.any(axis=tuple(range(1, paths.ndim))) for _, bad in checks])
+    i = int(faults.any(axis=0).argmax())
+    return i, checks[int(faults[:, i].argmax())][0]
+
+
 @dataclass(frozen=True)
 class Forecast:
     """Point path over a horizon, optional central interval, known origin."""
@@ -43,22 +77,91 @@ class Forecast:
     upper: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if not self.path:
-            raise ValueError("forecast path is empty")
-        if (self.lower is None) != (self.upper is None):
-            raise ValueError("interval needs both lower and upper paths")
-        if self.lower is not None:
-            if len(self.lower) != len(self.path) or len(self.upper) != len(self.path):
-                raise ValueError("interval paths must match the horizon")
-            for lo, mid, hi in zip(self.lower, self.path, self.upper):
-                if not (lo <= mid <= hi):
-                    raise ValueError("interval must bracket the path pointwise")
+        columns = (None if c is None else np.array([c], dtype=np.float64) for c in (self.path, self.lower, self.upper))
+        fault = _first_fault(*columns)
+        if fault is not None:
+            raise ValueError(fault[1])
+
+    @classmethod
+    def _from_checked(cls, origin_index: int, path, lower=None, upper=None) -> "Forecast":
+        """A Forecast of values whose invariants were already checked."""
+        forecast = cls.__new__(cls)
+        forecast.__dict__.update(origin_index=origin_index, path=path, lower=lower, upper=upper)
+        return forecast
 
     @property
     def horizon(self) -> int:
         return len(self.path)
 
 
+@dataclass(frozen=True, eq=False)
+class Forecasts(Sequence):
+    """Forecasts at N origins as read-only columns: ``origins`` (N,), ``paths``
+    (N, H) and the optional interval bounds ``lower`` and ``upper`` (N, H).
+
+    Construction copies the columns and checks every row at once.  As a
+    sequence it holds Forecasts, each built only when read.
+    """
+
+    origins: np.ndarray
+    paths: np.ndarray
+    lower: np.ndarray | None = None
+    upper: np.ndarray | None = None
+
+    def __post_init__(self):
+        for name, dtype in (("origins", np.int64), ("paths", np.float64), ("lower", np.float64),
+                            ("upper", np.float64)):
+            if getattr(self, name) is not None:
+                column = np.array(getattr(self, name), dtype=dtype)
+                column.flags.writeable = False
+                object.__setattr__(self, name, column)
+        if self.paths.ndim != 2 or self.origins.shape != self.paths.shape[:1]:
+            raise ValueError(
+                f"need origins (N,) and paths (N, H), got shapes {self.origins.shape} and {self.paths.shape}"
+            )
+        fault = _first_fault(self.paths, self.lower, self.upper)
+        if fault is not None:
+            raise ValueError(fault[1])
+
+    @classmethod
+    def stack(cls, forecasts: Sequence[Forecast]) -> "Forecasts":
+        """The given forecasts as rows.  They must share a horizon and all have
+        intervals, or none."""
+        horizons = sorted({f.horizon for f in forecasts})
+        if len(horizons) > 1:
+            raise ValueError(f"forecasts differ in horizon: {horizons}")
+        with_interval = {f.lower is not None for f in forecasts}
+        if len(with_interval) > 1:
+            raise ValueError("forecasts must all have intervals, or none")
+        interval = ()
+        if with_interval == {True}:
+            interval = ([f.lower for f in forecasts], [f.upper for f in forecasts])
+        return cls([f.origin_index for f in forecasts], [f.path for f in forecasts], *interval)
+
+    @property
+    def horizon(self) -> int:
+        return self.paths.shape[1]
+
+    def take(self, rows: np.ndarray) -> "Forecasts":
+        """The forecasts of the given rows, in that order."""
+        interval = () if self.lower is None else (self.lower[rows], self.upper[rows])
+        return Forecasts(self.origins[rows], self.paths[rows], *interval)
+
+    def __len__(self) -> int:
+        return len(self.origins)
+
+    def __getitem__(self, i: int) -> Forecast:
+        i = range(len(self))[i]
+        return _row(self.origins.item(i), i, self.paths, self.lower, self.upper)
+
+
+def _row(origin: int, i: int, paths, lower, upper) -> Forecast:
+    """Row i of checked columns as a Forecast."""
+    interval = () if lower is None else (tuple(lower[i].tolist()), tuple(upper[i].tolist()))
+    return Forecast._from_checked(origin, tuple(paths[i].tolist()), *interval)
+
+
+@lru_cache(maxsize=None)
 def coverage_z(coverage: float) -> float:
     """Standard-normal quantile for a central interval of the given coverage."""
     if not (0.0 < coverage < 1.0):
@@ -66,59 +169,113 @@ def coverage_z(coverage: float) -> float:
     return NormalDist().inv_cdf(0.5 + coverage / 2.0)
 
 
-def _volatility_or_zero(w: Window) -> float:
-    return float(volatilities(w.closes[None, :])[0]) if len(w) >= 2 else 0.0
+@lru_cache(maxsize=None)
+def _steps(horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """Step numbers 1..horizon as floats, and their square roots."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    steps = np.arange(1.0, horizon + 1.0)
+    roots = np.sqrt(steps)
+    steps.flags.writeable = roots.flags.writeable = False
+    return steps, roots
 
 
-def _diffusion_interval(path, last_close, sigma_frac, coverage):
-    width = coverage_z(coverage) * sigma_frac * last_close
-    spreads = [width * math.sqrt(k + 1.0) for k in range(len(path))]
-    lower = tuple(p - s for p, s in zip(path, spreads))
-    upper = tuple(p + s for p, s in zip(path, spreads))
-    return lower, upper
+def _need_two(closes: np.ndarray, name: str) -> None:
+    if closes.shape[1] < 2:
+        raise ValueError(f"{name} forecast needs a window of at least 2 candles")
+
+
+def _diffusion_interval(paths, roots, last, sigma, coverage):
+    """Bounds z * sigma * last * sqrt(step) either side of each path."""
+    spreads = (coverage_z(coverage) * sigma * last)[:, None] * roots
+    return paths - spreads, paths + spreads
+
+
+def _naive(closes: np.ndarray, horizon: int, coverage: float):
+    steps, roots = _steps(horizon)
+    last = closes[:, -1]
+    paths = np.repeat(last[:, None], horizon, axis=1)
+    # One close has no returns: its interval has zero width.
+    sigma = volatilities(closes) if closes.shape[1] >= 2 else np.zeros(len(closes))
+    return paths, *_diffusion_interval(paths, roots, last, sigma, coverage)
+
+
+def _drift(closes: np.ndarray, horizon: int, coverage: float):
+    steps, roots = _steps(horizon)
+    _need_two(closes, "drift")
+    last = closes[:, -1]
+    step = (last - closes[:, 0]) / (closes.shape[1] - 1)
+    paths = last[:, None] + steps * step[:, None]
+    return paths, *_diffusion_interval(paths, roots, last, volatilities(closes), coverage)
+
+
+def _linreg(closes: np.ndarray, horizon: int, coverage: float):
+    steps, _ = _steps(horizon)
+    _need_two(closes, "linreg")
+    n = closes.shape[1]
+    idx = np.arange(n, dtype=np.float64)
+    # One polyfit per row: a 2-D polyfit differs from it in the last bits.
+    fits = np.array([np.polyfit(idx, row, 1) for row in closes]).reshape(-1, 2)
+    slopes, intercepts = fits[:, :1], fits[:, 1:]
+    paths = intercepts + slopes * (n - 1 + steps)
+    residuals = closes - (intercepts + slopes * idx)
+    resid_std = np.sqrt(np.add.reduce(residuals**2, axis=1) / (n - 2)) if n > 2 else np.zeros(len(closes))
+    width = (coverage_z(coverage) * resid_std)[:, None]
+    return paths, paths - width, paths + width
+
+
+class BlockForecaster:
+    """A forecaster whose unit of work is a block of origins.
+
+    ``forecasts(series, origins, lookback, horizon)`` forecasts from the
+    trailing ``lookback`` candles of each origin.  Called on one window, it
+    forecasts at that window's last candle alone.
+    """
+
+    def forecasts(self, series: Series, origins: np.ndarray, lookback: int, horizon: int) -> Forecasts:
+        raise NotImplementedError
+
+    def __call__(self, w: Window, horizon: int) -> Forecast:
+        return self.forecasts(w.series, np.array([w.end - 1]), len(w), horizon)[0]
+
+
+@dataclass(frozen=True)
+class Baseline(BlockForecaster):
+    """A baseline kernel, run on the gathered windows of each block of origins."""
+
+    kernel: Callable
+    coverage: float = DEFAULT_COVERAGE
+
+    def forecasts(self, series: Series, origins: np.ndarray, lookback: int, horizon: int) -> Forecasts:
+        parts = [
+            self.kernel(series.closes[window_index(block + 1, lookback)], horizon, self.coverage)
+            for block in blocks(origins)
+        ]
+        return Forecasts(origins, *map(np.concatenate, zip(*parts)))
+
+
+def _one_window(kernel, w: Window, horizon: int, coverage: float) -> Forecast:
+    """The kernel on the window's row, checked once."""
+    columns = kernel(w.closes[None, :], horizon, coverage)
+    fault = _first_fault(*columns)
+    if fault is not None:
+        raise ValueError(fault[1])
+    return _row(w.end - 1, 0, *columns)
 
 
 def naive_forecast(w: Window, horizon: int, coverage: float = DEFAULT_COVERAGE) -> Forecast:
     """Repeat the last close; interval widens with the square root of the step."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    last = float(w.closes[-1])
-    path = tuple([last] * horizon)
-    lower, upper = _diffusion_interval(path, last, _volatility_or_zero(w), coverage)
-    return Forecast(w.end - 1, path, lower, upper)
+    return _one_window(_naive, w, horizon, coverage)
 
 
 def drift_forecast(w: Window, horizon: int, coverage: float = DEFAULT_COVERAGE) -> Forecast:
     """Extrapolate the mean one-step close change of the window."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    closes = w.closes
-    if len(closes) < 2:
-        raise ValueError("drift forecast needs a window of at least 2 candles")
-    last = float(closes[-1])
-    step = float(closes[-1] - closes[0]) / (len(closes) - 1)
-    path = tuple(last + (k + 1) * step for k in range(horizon))
-    lower, upper = _diffusion_interval(path, last, _volatility_or_zero(w), coverage)
-    return Forecast(w.end - 1, path, lower, upper)
+    return _one_window(_drift, w, horizon, coverage)
 
 
 def linreg_forecast(w: Window, horizon: int, coverage: float = DEFAULT_COVERAGE) -> Forecast:
     """Least-squares line over (index, close), extrapolated past the window."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    closes = w.closes
-    n = len(closes)
-    if n < 2:
-        raise ValueError("linreg forecast needs a window of at least 2 candles")
-    idx = np.arange(n, dtype=np.float64)
-    slope, intercept = np.polyfit(idx, closes, 1)
-    path = tuple(float(intercept + slope * (n + k)) for k in range(horizon))
-    residuals = closes - (intercept + slope * idx)
-    resid_std = float(np.sqrt(np.sum(residuals**2) / (n - 2))) if n > 2 else 0.0
-    width = coverage_z(coverage) * resid_std
-    lower = tuple(p - width for p in path)
-    upper = tuple(p + width for p in path)
-    return Forecast(w.end - 1, path, lower, upper)
+    return _one_window(_linreg, w, horizon, coverage)
 
 
 def is_up(close, origin_close):
@@ -136,6 +293,52 @@ BASELINES = {
     "drift": drift_forecast,
     "linreg": linreg_forecast,
 }
+KERNELS = {"naive": _naive, "drift": _drift, "linreg": _linreg}
+
+
+@dataclass(frozen=True, eq=False)
+class ExternalForecaster(BlockForecaster):
+    """Loaded forecasts of one horizon, joined to origins by exact timestamp."""
+
+    timestamps: np.ndarray  # ascending
+    table: Forecasts  # row i holds the forecast made at timestamps[i]
+
+    @classmethod
+    def from_loaded(cls, loaded: list[tuple[int, Forecast]], horizon: int) -> "ExternalForecaster":
+        """Stack (timestamp, Forecast) pairs once; every forecast must have the horizon."""
+        if not loaded:
+            raise ValueError("the external forecast file holds no forecasts")
+        for _, forecast in loaded:
+            if forecast.horizon != horizon:
+                raise ValueError(f"external forecast horizon {forecast.horizon} != configured {horizon}")
+        timestamps = np.array([ts for ts, _ in loaded], dtype=np.int64)
+        order = np.argsort(timestamps, kind="stable")
+        return cls(timestamps[order], Forecasts.stack([loaded[i][1] for i in order.tolist()]))
+
+    def forecasts(self, series: Series, origins: np.ndarray, lookback: int, horizon: int) -> Forecasts:
+        if horizon != self.table.horizon:
+            raise ValueError(f"external forecast horizon {self.table.horizon} != configured {horizon}")
+        wanted = series.timestamps[origins]
+        rows = np.minimum(np.searchsorted(self.timestamps, wanted), len(self.timestamps) - 1)
+        missing = self.timestamps[rows] != wanted
+        if missing.any():
+            label = format_timestamp(int(wanted[missing.argmax()]), series.timestamp_format)
+            raise ValueError(f"no external forecast for origin {label}")
+        return self.table.take(rows)
+
+
+def forecasts_at(forecaster, series: Series, origins: np.ndarray, lookback: int, horizon: int) -> Forecasts:
+    """The forecasts at the origins, from their trailing ``lookback`` candles.
+
+    A BlockForecaster makes them in one call.  Any other forecaster is a
+    callable ``(window, horizon) -> Forecast``, called once per origin; its
+    forecasts are stacked.
+    """
+    if isinstance(forecaster, BlockForecaster):
+        return forecaster.forecasts(series, origins, lookback, horizon)
+    return Forecasts.stack(
+        [forecaster(series.window(o - lookback + 1, o + 1), horizon) for o in origins.tolist()]
+    )
 
 
 def load_external_forecasts(
@@ -192,9 +395,14 @@ def load_external_forecasts(
             groups.append((ts, row[0], lineno, []))
         groups[-1][3].append((step, values))
 
-    out = []
-    for ts, label, lineno, steps in groups:
+    for *_, steps in groups:
         steps.sort(key=lambda s: s[0])
+    # The values of every step at once; a fault is reported at the origin of its row.
+    values = np.array([v for *_, steps in groups for _, v in steps]).reshape(-1, expected - 2)
+    fault = _first_fault(*values.T) if len(values) else None
+    faulty = -1 if fault is None else int(np.searchsorted(np.cumsum([len(g[3]) for g in groups]), fault[0], "right"))
+    out = []
+    for g, (ts, label, lineno, steps) in enumerate(groups):
         got = [s for s, _ in steps]
         if got != list(range(1, len(got) + 1)):
             raise ParseError(f"origin {label}: steps must be contiguous from 1, got {got}", line=lineno)
@@ -205,15 +413,9 @@ def load_external_forecasts(
                 raise ParseError(
                     f"origin {label} not present in series {series.symbol!r}", line=lineno
                 )
-        path = tuple(v[0] for _, v in steps)
-        lower = upper = None
-        if has_interval:
-            lower = tuple(v[1] for _, v in steps)
-            upper = tuple(v[2] for _, v in steps)
-        try:
-            out.append((ts, Forecast(origin_index, path, lower, upper)))
-        except ValueError as exc:
-            raise ParseError(f"origin {label}: {exc}", line=lineno) from None
+        if g == faulty:
+            raise ParseError(f"origin {label}: {fault[1]}", line=lineno)
+        out.append((ts, Forecast._from_checked(origin_index, *zip(*(v for _, v in steps)))))
     return out
 
 

@@ -258,6 +258,59 @@ def test_external_forecaster_roundtrip(tmp_path, capsys, backtest_series):
     assert drift_rows == ext_rows
 
 
+def test_forecast_naive_lookback_one_has_zero_width(capsys, backtest_series):
+    assert main(["forecast", str(BACKTEST_FIXTURE), "--model", "naive", "--lookback", "1"]) == 0
+    [(_, forecast)] = load_external_forecasts(capsys.readouterr().out)
+    last = float(backtest_series.closes[-1])
+    assert forecast.lower == forecast.path == forecast.upper == (last,) * 7
+
+
+@pytest.mark.parametrize("model", ["drift", "linreg"])
+def test_forecast_trend_models_need_two_candles(model, capsys):
+    assert main(["forecast", str(BACKTEST_FIXTURE), "--model", model, "--lookback", "1"]) == 1
+    assert capsys.readouterr().err == f"error: {model} forecast needs a window of at least 2 candles\n"
+
+
+@pytest.mark.parametrize(
+    "steps, horizon, message",
+    [
+        ((3, 3, 2, 3), "3", "external forecast horizon 2 != configured 3"),
+        ((3, 3, 3, 3), "4", "external forecast horizon 3 != configured 4"),
+    ],
+    ids=["ragged", "wrong_horizon"],
+)
+@pytest.mark.parametrize("command", ["backtest", "train-gate"])
+def test_external_horizons_are_checked_before_training(command, steps, horizon, message, tmp_path,
+                                                       monkeypatch, capsys, backtest_series):
+    from candlegate import cli
+
+    def must_not_run(*args):
+        raise AssertionError("training or walk-forward ran before the horizons were checked")
+
+    monkeypatch.setattr(cli, "train_gate_on_series", must_not_run)
+    monkeypatch.setattr(cli, "walk_forward", must_not_run)
+    lines = ["origin_timestamp,step,predicted_close"]
+    for origin, n in zip(range(100, 104), steps):
+        label = format_timestamp(int(backtest_series.timestamps[origin]), backtest_series.timestamp_format)
+        lines += [f"{label},{k},100.0" for k in range(1, n + 1)]
+    ext = tmp_path / "ext.csv"
+    ext.write_text("\n".join(lines) + "\n")
+    argv = [command, str(BACKTEST_FIXTURE), "--lookback", "95", "--horizon", horizon,
+            "--model", f"external:{ext}"]
+    code = main(argv + (["--out", str(tmp_path / "gate.json")] if command == "train-gate" else []))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_external_forecaster_names_the_first_missing_origin(tmp_path, capsys, backtest_series):
+    label = format_timestamp(int(backtest_series.timestamps[200]), backtest_series.timestamp_format)
+    ext = tmp_path / "ext.csv"
+    ext.write_text(f"origin_timestamp,step,predicted_close\n{label},1,100.0\n{label},2,100.0\n{label},3,100.0\n")
+    assert main(["backtest", str(BACKTEST_FIXTURE), *BT_ARGS, "--model", f"external:{ext}"]) == 1
+    first = format_timestamp(int(backtest_series.timestamps[94]), backtest_series.timestamp_format)
+    assert capsys.readouterr().err == f"error: no external forecast for origin {first}\n"
+
+
 def test_report_command_renders_json(tmp_path, capsys):
     report_path = tmp_path / "rows.json"
     assert main(

@@ -21,7 +21,7 @@ from candlegate.evaluation import (
     train_gate_on_series,
     walk_forward,
 )
-from candlegate.forecaster import Forecast, Side, drift_forecast
+from candlegate.forecaster import Forecasts, Side, drift_forecast
 from candlegate.market_data import Series
 from candlegate.reliability_gate import GateModel, decide
 from candlegate.rule_engine import bottoming_tail_rule
@@ -51,7 +51,7 @@ def _table(predicted_up, realized_up, scores, threshold=0.5, rules_ok=None):
         scores=scores,
         rules_ok=np.ones(n, dtype=bool) if rules_ok is None else rules_ok,
         threshold=threshold,
-        forecasts=tuple(Forecast(i, (100.0,) * 2) for i in range(n)),
+        forecasts=Forecasts(np.arange(n), np.full((n, 2), 100.0)),
     )
 
 
@@ -377,7 +377,7 @@ def test_rows_read_on_demand_agree_with_the_columns(required):
     with pytest.raises(IndexError):
         table[len(table)]
     for i, r in enumerate(rows):
-        assert r.origin_index == table.origins[i] and r.forecast is table.forecasts[i]
+        assert r.origin_index == table.origins[i] and r.forecast == table.forecasts[i]
         assert (r.predicted == Side.UP, r.realized == Side.UP) == (table.predicted_up[i], table.realized_up[i])
         assert [v.rule for v in r.verdicts] == [rule.name for rule in rules]
         assert r.decision == decide(r.decision.score, gate, list(r.verdicts), required)

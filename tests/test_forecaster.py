@@ -10,6 +10,7 @@ from candlegate.forecaster import (
     EXTERNAL_HEADER_BASE,
     EXTERNAL_HEADER_FULL,
     Forecast,
+    Forecasts,
     Side,
     coverage_z,
     drift_forecast,
@@ -161,6 +162,65 @@ def test_forecast_interval_validation():
         Forecast(0, (100.0,), lower=(99.0,), upper=None)
     with pytest.raises(ValueError):
         Forecast(0, (100.0, 100.0), lower=(99.0,), upper=(101.0,))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "path, lower, upper, message",
+    [
+        ((), None, None, "forecast path is empty"),
+        ((NAN, 1.0), None, None, "forecast values must be finite"),
+        ((INF,), None, None, "forecast values must be finite"),
+        ((1.0, -INF), None, None, "forecast values must be finite"),
+        ((1.0,), (-INF,), (2.0,), "forecast values must be finite"),
+        ((1.0,), (0.0,), (NAN,), "forecast values must be finite"),
+        ((INF,), (0.0,), (INF,), "forecast values must be finite"),
+        ((1.0, 2.0), (0.0, 2.5), (3.0, 3.0), "interval must bracket the path pointwise"),
+    ],
+)
+def test_forecast_and_forecasts_share_the_invariants(path, lower, upper, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Forecast(0, path, lower, upper)
+    interval = () if lower is None else ([lower], [upper])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Forecasts([0], [path], *interval)
+
+
+def test_forecasts_report_the_first_fault_of_the_first_faulty_row():
+    paths = np.full((4, 3), 100.0)
+    lower, upper = paths - 1.0, paths + 1.0
+    lower[1, 2] = 100.5  # row 1 is not bracketed; row 2 is also non-finite
+    paths[2, 0] = NAN
+    with pytest.raises(ValueError, match="^interval must bracket the path pointwise$"):
+        Forecasts(np.arange(4), paths, lower, upper)
+    lower[1, 2] = 99.0
+    with pytest.raises(ValueError, match="^forecast values must be finite$"):
+        Forecasts(np.arange(4), paths, lower, upper)
+
+
+def test_forecasts_columns_are_read_only_copies_and_rows_read_as_forecasts():
+    paths = np.array([[1.0, 2.0], [3.0, 4.0]])
+    forecasts = Forecasts([7, 9], paths, paths - 0.5, paths + 0.5)
+    paths[0, 0] = 99.0
+    assert forecasts.paths[0, 0] == 1.0 and forecasts.horizon == 2 and len(forecasts) == 2
+    with pytest.raises(ValueError):
+        forecasts.paths[0, 0] = 5.0
+    assert forecasts[-1] == Forecast(9, (3.0, 4.0), (2.5, 3.5), (3.5, 4.5))
+    assert list(forecasts) == [forecasts[0], forecasts[1]]
+    assert Forecasts.stack(list(forecasts)).paths.tobytes() == forecasts.paths.tobytes()
+    with pytest.raises(IndexError):
+        forecasts[2]
+    with pytest.raises(ValueError, match="shapes"):
+        Forecasts([1, 2, 3], paths)
+
+
+def test_stacking_needs_one_horizon_and_intervals_on_all_or_none():
+    with pytest.raises(ValueError, match=r"differ in horizon: \[1, 2\]"):
+        Forecasts.stack([Forecast(0, (1.0,)), Forecast(1, (1.0, 2.0))])
+    with pytest.raises(ValueError, match="intervals, or none"):
+        Forecasts.stack([Forecast(0, (1.0,)), Forecast(1, (1.0,), (0.5,), (1.5,))])
 
 
 EXTERNAL = """origin_timestamp,step,predicted_close

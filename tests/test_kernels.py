@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from candlegate import evaluation, forecaster, indicators, reliability_gate, rule_engine
 from candlegate.evaluation import EvalConfig, walk_forward
-from candlegate.forecaster import drift_forecast
+from candlegate.cli import _resolve_forecaster
+from candlegate.forecaster import BASELINES, KERNELS, Baseline, BlockForecaster, Forecast, drift_forecast
+from candlegate.forecaster import save_external_forecasts
 from candlegate.indicators import (
     BLOCK,
     RESISTANCE,
@@ -223,7 +225,7 @@ def _counting(name, fn, calls):
 def test_backtest_never_falls_back_to_one_origin_calls(monkeypatch):
     """A backtest (training, walk-forward, summary, trace) uses the block kernels
     and the table's columns: no one-origin calls, no per-row decisions or
-    verdicts, and exactly one forecaster call per origin."""
+    verdicts, and exactly one call per origin of a per-window forecaster."""
     one_origin = ("fit_support_line", "fit_resistance_line", "evaluate_rule", "extract_features",
                   "score", "decide", "gate_decision", "rule_verdicts")
     calls = []
@@ -249,3 +251,79 @@ def test_backtest_never_falls_back_to_one_origin_calls(monkeypatch):
     assert table.origins.tolist() == eval_origins
     table[0]  # a row read builds its decision and verdicts
     assert sorted(set(calls)) == ["gate_decision", "rule_verdicts"]
+
+
+def _spy_on_one_window_forecasts(monkeypatch, calls):
+    """Record every one-window forecaster call and every Forecast built."""
+    for name in BASELINES:
+        fn = getattr(forecaster, f"{name}_forecast")
+        monkeypatch.setattr(forecaster, f"{name}_forecast", _counting(name, fn, calls))
+        monkeypatch.setitem(BASELINES, name, _counting(name, fn, calls))
+    monkeypatch.setattr(BlockForecaster, "__call__", _counting("one window", BlockForecaster.__call__, calls))
+    monkeypatch.setattr(Forecast, "__post_init__", _counting("Forecast", Forecast.__post_init__, calls))
+    from_checked = Forecast._from_checked.__func__
+    monkeypatch.setattr(Forecast, "_from_checked", classmethod(_counting("Forecast", from_checked, calls)))
+
+
+@pytest.mark.parametrize("model", ["naive", "drift", "linreg", "external"])
+def test_cli_forecasters_make_no_one_window_calls_and_build_no_forecast(model, monkeypatch, tmp_path):
+    """Training, walk-forward, summary and trace with a forecaster the CLI resolves
+    run the kernels (or the external join) on columns."""
+    series = make_series(np.random.default_rng(8), 1_500)
+    rule = bottoming_tail_rule()
+    cfg = EvalConfig(lookback=95, horizon=4, train_fraction=0.6)
+    if model == "external":
+        items = [(int(series.timestamps[o]), drift_forecast(series.window(o - 94, o + 1), 4))
+                 for o in range(94, len(series))]
+        path = tmp_path / "ext.csv"
+        path.write_text(save_external_forecasts(items, series.timestamp_format))
+        model = f"external:{path}"
+    resolved = _resolve_forecaster(model, 0.8, series, cfg.horizon)
+    calls = []
+    _spy_on_one_window_forecasts(monkeypatch, calls)
+    table = walk_forward(series, resolved, None, [rule], cfg)
+    evaluation.summarize(table, model)
+    evaluation.emit_forecast_trace(table, series)
+    assert calls == []
+    table[0]  # a row read builds its forecast
+    assert calls == ["Forecast"]
+
+
+def _bits(forecast: Forecast):
+    return forecast.origin_index, *(np.array(c).tobytes() for c in (forecast.path, forecast.lower, forecast.upper))
+
+
+def _assert_forecast_rows_match_one_window(series, origins, lookback, horizon, coverage, rows):
+    """Each baseline's batch row i is the one-window forecast at origins[i], bit for bit."""
+    for name, kernel in KERNELS.items():
+        batch = Baseline(kernel, coverage).forecasts(series, origins, lookback, horizon)
+        assert batch.origins.tolist() == origins.tolist()
+        for i in rows:
+            w = series.window(int(origins[i]) - lookback + 1, int(origins[i]) + 1)
+            assert _bits(BASELINES[name](w, horizon, coverage=coverage)) == _bits(batch[i])
+
+
+@HYPOTHESIS
+@given(windows(), st.integers(1, 9), st.floats(0.01, 0.99))
+def test_one_window_forecasts_equal_their_batch_rows(case, horizon, coverage):
+    series, ends, length = case
+    _assert_forecast_rows_match_one_window(series, ends - 1, length, horizon, coverage, range(len(ends)))
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("lookback", [2, 40])
+def test_one_window_forecasts_equal_their_rows_at_block_boundaries(n, lookback):
+    series = make_series(np.random.default_rng(n + lookback), lookback - 1 + n)
+    origins = np.arange(lookback - 1, lookback - 1 + n)
+    rows = sorted({0, BLOCK - 1, BLOCK, BLOCK + 1, n - 1} & set(range(n)))
+    _assert_forecast_rows_match_one_window(series, origins, lookback, 5, 0.9, rows)
+
+
+@pytest.mark.parametrize("name", ["drift", "linreg"])
+def test_trend_baselines_need_two_candles(name):
+    series = make_series(np.random.default_rng(9), 10)
+    message = f"^{name} forecast needs a window of at least 2 candles$"
+    with pytest.raises(ValueError, match=message):
+        BASELINES[name](series.window(4, 5), 3)
+    with pytest.raises(ValueError, match=message):
+        Baseline(KERNELS[name]).forecasts(series, np.arange(3, 6), 1, 3)

@@ -70,10 +70,11 @@ def test_feature_vector_length_matches_configuration():
 
 
 def test_extract_features_rejects_non_finite():
-    series = _flat_series()
+    # A finite forecast whose relative move from a close of 0.5 overflows.
+    series = _flat_series(price=0.5)
     w = series.window(0, 20)
-    bad = Forecast(w.end - 1, (float("inf"),))
-    with pytest.raises(FeatureError, match="predicted_move"):
+    bad = Forecast(w.end - 1, (1.7e308,))
+    with np.errstate(over="ignore"), pytest.raises(FeatureError, match="predicted_move"):
         extract_features(w, bad, [])
 
 
