@@ -36,6 +36,7 @@ from .rule_engine import (
 )
 from .forecaster import (
     Forecast,
+    Forecasts,
     Side,
     drift_forecast,
     linreg_forecast,

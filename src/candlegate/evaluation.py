@@ -335,15 +335,18 @@ def emit_forecast_trace(table: EvalTable, series: Series) -> str:
     lines = [TRACE_CSV_HEADER]
     closes, timestamps = series.closes.tolist(), series.timestamps.tolist()
     forecasts = table.forecasts
+    paths = forecasts.paths.tolist()
     if forecasts.lower is None:
-        lowers = uppers = [[""] * forecasts.horizon] * len(forecasts)
+        lowers = uppers = [None] * len(paths)
     else:
-        lowers, uppers = ([list(map(repr, row)) for row in bound.tolist()] for bound in (forecasts.lower, forecasts.upper))
-    rows = zip(table.origins.tolist(), forecasts.paths.tolist(), lowers, uppers, table.executed.tolist())
-    for origin, path, lower, upper, executed in rows:
+        lowers, uppers = forecasts.lower.tolist(), forecasts.upper.tolist()
+    for origin, path, lower, upper, executed in zip(
+        table.origins.tolist(), paths, lowers, uppers, table.executed.tolist()
+    ):
         ts = format_timestamp(timestamps[origin], series.timestamp_format)
         flag = "true" if executed else "false"
         for k, predicted in enumerate(path):
             step = k + 1
-            lines.append(f"{ts},{step},{predicted!r},{lower[k]},{upper[k]},{closes[origin + step]!r},{flag}")
+            interval = "," if lower is None else f"{lower[k]!r},{upper[k]!r}"
+            lines.append(f"{ts},{step},{predicted!r},{interval},{closes[origin + step]!r},{flag}")
     return "\n".join(lines) + "\n"
