@@ -77,8 +77,8 @@ class Forecast:
     upper: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        columns = (None if c is None else np.array([c], dtype=np.float64) for c in (self.path, self.lower, self.upper))
-        fault = _first_fault(*columns)
+        fault = _first_fault(*(None if c is None else np.array([c], dtype=np.float64)
+                               for c in (self.path, self.lower, self.upper)))
         if fault is not None:
             raise ValueError(fault[1])
 
@@ -161,7 +161,7 @@ def _row(origin: int, i: int, paths, lower, upper) -> Forecast:
     return Forecast._from_checked(origin, tuple(paths[i].tolist()), *interval)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def coverage_z(coverage: float) -> float:
     """Standard-normal quantile for a central interval of the given coverage."""
     if not (0.0 < coverage < 1.0):
@@ -169,7 +169,7 @@ def coverage_z(coverage: float) -> float:
     return NormalDist().inv_cdf(0.5 + coverage / 2.0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _steps(horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """Step numbers 1..horizon as floats, and their square roots."""
     if horizon < 1:
@@ -186,15 +186,15 @@ def _need_two(closes: np.ndarray, name: str) -> None:
 
 
 def _diffusion_interval(paths, roots, last, sigma, coverage):
-    """Bounds z * sigma * last * sqrt(step) either side of each path."""
-    spreads = (coverage_z(coverage) * sigma * last)[:, None] * roots
+    """Bounds z * sigma * last * sqrt(step) either side of each path; ``last`` is a column."""
+    spreads = coverage_z(coverage) * sigma[:, None] * last * roots
     return paths - spreads, paths + spreads
 
 
 def _naive(closes: np.ndarray, horizon: int, coverage: float):
-    steps, roots = _steps(horizon)
-    last = closes[:, -1]
-    paths = np.repeat(last[:, None], horizon, axis=1)
+    _, roots = _steps(horizon)
+    last = closes[:, -1:]
+    paths = np.repeat(last, horizon, axis=1)
     # One close has no returns: its interval has zero width.
     sigma = volatilities(closes) if closes.shape[1] >= 2 else np.zeros(len(closes))
     return paths, *_diffusion_interval(paths, roots, last, sigma, coverage)
@@ -203,9 +203,8 @@ def _naive(closes: np.ndarray, horizon: int, coverage: float):
 def _drift(closes: np.ndarray, horizon: int, coverage: float):
     steps, roots = _steps(horizon)
     _need_two(closes, "drift")
-    last = closes[:, -1]
-    step = (last - closes[:, 0]) / (closes.shape[1] - 1)
-    paths = last[:, None] + steps * step[:, None]
+    last = closes[:, -1:]
+    paths = last + steps * ((last - closes[:, :1]) / (closes.shape[1] - 1))
     return paths, *_diffusion_interval(paths, roots, last, volatilities(closes), coverage)
 
 
@@ -395,12 +394,15 @@ def load_external_forecasts(
             groups.append((ts, row[0], lineno, []))
         groups[-1][3].append((step, values))
 
+    del rows  # free the parsed rows before the values are stacked
     for *_, steps in groups:
         steps.sort(key=lambda s: s[0])
     # The values of every step at once; a fault is reported at the origin of its row.
     values = np.array([v for *_, steps in groups for _, v in steps]).reshape(-1, expected - 2)
     fault = _first_fault(*values.T) if len(values) else None
-    faulty = -1 if fault is None else int(np.searchsorted(np.cumsum([len(g[3]) for g in groups]), fault[0], "right"))
+    faulty = -1
+    if fault is not None:
+        faulty = int(np.searchsorted(np.cumsum([len(steps) for *_, steps in groups]), fault[0], "right"))
     out = []
     for g, (ts, label, lineno, steps) in enumerate(groups):
         got = [s for s, _ in steps]

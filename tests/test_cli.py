@@ -305,7 +305,8 @@ def test_external_horizons_are_checked_before_training(command, steps, horizon, 
 def test_external_forecaster_names_the_first_missing_origin(tmp_path, capsys, backtest_series):
     label = format_timestamp(int(backtest_series.timestamps[200]), backtest_series.timestamp_format)
     ext = tmp_path / "ext.csv"
-    ext.write_text(f"origin_timestamp,step,predicted_close\n{label},1,100.0\n{label},2,100.0\n{label},3,100.0\n")
+    rows = "".join(f"{label},{k},100.0\n" for k in (1, 2, 3))
+    ext.write_text("origin_timestamp,step,predicted_close\n" + rows)
     assert main(["backtest", str(BACKTEST_FIXTURE), *BT_ARGS, "--model", f"external:{ext}"]) == 1
     first = format_timestamp(int(backtest_series.timestamps[94]), backtest_series.timestamp_format)
     assert capsys.readouterr().err == f"error: no external forecast for origin {first}\n"

@@ -290,7 +290,8 @@ def test_cli_forecasters_make_no_one_window_calls_and_build_no_forecast(model, m
 
 
 def _bits(forecast: Forecast):
-    return forecast.origin_index, *(np.array(c).tobytes() for c in (forecast.path, forecast.lower, forecast.upper))
+    columns = (forecast.path, forecast.lower, forecast.upper)
+    return forecast.origin_index, *(np.array(c).tobytes() for c in columns)
 
 
 def _assert_forecast_rows_match_one_window(series, origins, lookback, horizon, coverage, rows):
