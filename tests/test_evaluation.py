@@ -377,7 +377,8 @@ def test_rows_read_on_demand_agree_with_the_columns(required):
     with pytest.raises(IndexError):
         table[len(table)]
     for i, r in enumerate(rows):
-        assert r.origin_index == table.origins[i] and r.forecast == table.forecasts[i]
+        assert r.origin_index == table.origins[i]
+        assert r.forecast == drift_forecast(series.window(r.origin_index - 19, r.origin_index + 1), 5)
         assert (r.predicted == Side.UP, r.realized == Side.UP) == (table.predicted_up[i], table.realized_up[i])
         assert [v.rule for v in r.verdicts] == [rule.name for rule in rules]
         assert r.decision == decide(r.decision.score, gate, list(r.verdicts), required)
