@@ -31,7 +31,6 @@ from .forecaster import (
     KERNELS,
     Baseline,
     ExternalForecaster,
-    load_external_forecasts,
     save_external_forecasts,
 )
 from .market_data import Series, Window, format_timestamp, parse_csv
@@ -114,8 +113,7 @@ def _resolve_forecaster(name: str, coverage: float, series: Series, horizon: int
         return Baseline(KERNELS[name], coverage)
     if name.startswith("external:"):
         path = name.split(":", 1)[1]
-        loaded = load_external_forecasts(Path(path).read_bytes(), series=series)
-        return ExternalForecaster.from_loaded(loaded, horizon)
+        return ExternalForecaster.load(Path(path).read_bytes(), series, horizon)
     raise ValueError(f"unknown forecaster {name!r} (naive|drift|linreg|external:PATH)")
 
 

@@ -10,19 +10,30 @@ are exact, never nearest-match.
 
 from __future__ import annotations
 
-import csv
 import enum
-import io
 import math
+from array import array
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from statistics import NormalDist
+from typing import NamedTuple
 
 import numpy as np
 
 from .indicators import blocks, volatilities, window_index
-from .market_data import ParseError, Series, Window, _decode, _parse_timestamp, format_timestamp
+from .market_data import (
+    ParseError,
+    Series,
+    Window,
+    _data_record,
+    _decode,
+    _parse_timestamp,
+    _read_csv,
+    _timestamps,
+    format_timestamp,
+)
 
 EXTERNAL_HEADER_BASE = "origin_timestamp,step,predicted_close"
 EXTERNAL_HEADER_FULL = "origin_timestamp,step,predicted_close,lower,upper"
@@ -303,16 +314,19 @@ class ExternalForecaster(BlockForecaster):
     table: Forecasts  # row i holds the forecast made at timestamps[i]
 
     @classmethod
-    def from_loaded(cls, loaded: list[tuple[int, Forecast]], horizon: int) -> "ExternalForecaster":
-        """Stack (timestamp, Forecast) pairs once; every forecast must have the horizon."""
-        if not loaded:
+    def load(cls, text: str | bytes, series: Series, horizon: int) -> "ExternalForecaster":
+        """The forecasts of an external forecast file; every one must have the horizon."""
+        loaded = read_external_forecasts(text, series)
+        if not len(loaded.timestamps):
             raise ValueError("the external forecast file holds no forecasts")
-        for _, forecast in loaded:
-            if forecast.horizon != horizon:
-                raise ValueError(f"external forecast horizon {forecast.horizon} != configured {horizon}")
-        timestamps = np.array([ts for ts, _ in loaded], dtype=np.int64)
-        order = np.argsort(timestamps, kind="stable")
-        return cls(timestamps[order], Forecasts.stack([loaded[i][1] for i in order.tolist()]))
+        horizons = np.diff(loaded.bounds)
+        if (horizons != horizon).any():
+            raise ValueError(
+                f"external forecast horizon {horizons[(horizons != horizon).argmax()]} != configured {horizon}"
+            )
+        order = np.argsort(loaded.timestamps, kind="stable")
+        columns = loaded.values.reshape(len(order), horizon, -1)[order]
+        return cls(loaded.timestamps[order], Forecasts(loaded.origins[order], *np.moveaxis(columns, -1, 0)))
 
     def forecasts(self, series: Series, origins: np.ndarray, lookback: int, horizon: int) -> Forecasts:
         if horizon != self.table.horizon:
@@ -340,85 +354,165 @@ def forecasts_at(forecaster, series: Series, origins: np.ndarray, lookback: int,
     )
 
 
-def load_external_forecasts(
-    text: str | bytes, series: Series | None = None
-) -> list[tuple[int, Forecast]]:
-    """Parse externally produced forecasts from CSV text.
+class ExternalColumns(NamedTuple):
+    """A loaded external forecast file as columns, one origin per group of rows.
+
+    ``timestamps`` and ``origins`` (the series index, or -1) are (G,) in file
+    order; group g holds rows ``bounds[g]:bounds[g + 1]`` of ``values``, whose
+    columns are the path and, if given, the lower and upper bounds, with
+    each group's rows in step order.
+    """
+
+    timestamps: np.ndarray
+    origins: np.ndarray
+    bounds: np.ndarray
+    values: np.ndarray
+
+
+def _read_forecast_row(row: list[str], width: int) -> tuple[int, int, list[float]]:
+    """(timestamp, step, values) of one data row; ValueError names its fault."""
+    if len(row) != width:
+        raise ValueError(f"expected {width} fields, got {len(row)}: {row!r}")
+    ts, _ = _parse_timestamp(row[0])
+    try:
+        step = int(row[1])
+    except ValueError:
+        raise ValueError(f"step {row[1]!r} is not an integer") from None
+    try:
+        values = [float(f) for f in row[2:]]
+    except ValueError:
+        raise ValueError(f"non-numeric value in {row[2:]!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"non-finite value in {row[2:]!r}")
+    return ts, step, values
+
+
+def _read_forecast_block(rows: list[list[str]], width: int):
+    """Timestamps, steps and row-major values of a block of data rows, or None if a row is faulty."""
+    if set(map(len, rows)) != {width}:
+        return None
+    cells = list(chain.from_iterable(rows))
+    try:
+        epochs, _ = _timestamps(cells[::width])
+        del cells[::width]
+        steps = list(map(int, cells[:: width - 1]))
+        del cells[:: width - 1]
+        values = array("d", map(float, cells))
+    except ValueError:
+        return None
+    return (epochs, steps, values) if np.isfinite(np.frombuffer(values)).all() else None
+
+
+def _group_starts(timestamps: np.ndarray) -> np.ndarray:
+    """The rows at which a group of rows of one origin starts."""
+    return np.flatnonzero(np.concatenate(([len(timestamps) > 0], timestamps[1:] != timestamps[:-1])))
+
+
+def _regrouped_fault(data, timestamps: array) -> ParseError | None:
+    """The fault of the first row that starts a second group of rows for one origin, or None."""
+    timestamps = np.frombuffer(timestamps, dtype=np.int64)
+    starts = _group_starts(timestamps)
+    repeated = np.ones(len(starts), dtype=bool)
+    repeated[np.unique(timestamps[starts], return_index=True)[1]] = False
+    if not repeated.any():
+        return None
+    line, cells = _data_record(data, int(starts[repeated.argmax()]))
+    return ParseError(f"rows for origin {cells[0]} are not grouped together", line=line)
+
+
+def read_external_forecasts(text: str | bytes, series: Series | None = None) -> ExternalColumns:
+    """Parse externally produced forecasts from CSV text into columns.
 
     Rows must be grouped by origin with steps contiguous from 1, and every
     value must be finite.  When a series is supplied, each origin timestamp
-    must exist in it exactly and the returned forecasts carry the matching
-    origin index.  Malformed input raises ParseError with the line number (of
-    the origin's first row for errors that span a whole origin).
+    must exist in it exactly and ``origins`` holds the matching index.
+    Malformed input raises ParseError with the line number (of the origin's
+    first row for errors that span a whole origin).
     """
-    reader = csv.reader(io.StringIO(_decode(text)))
-    rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
-    if not rows:
+    _decode(text)
+    header, blocks = _read_csv(text)
+    if header is None:
         raise ParseError("empty forecast file")
-    header_line, header_row = rows[0]
-    header = ",".join(f.strip() for f in header_row)
-    if header == EXTERNAL_HEADER_FULL:
-        has_interval = True
-    elif header == EXTERNAL_HEADER_BASE:
-        has_interval = False
-    else:
+    header_line, header_row = header
+    names = ",".join(f.strip() for f in header_row)
+    if names not in (EXTERNAL_HEADER_BASE, EXTERNAL_HEADER_FULL):
         raise ParseError(
-            f"expected header {EXTERNAL_HEADER_BASE!r} or {EXTERNAL_HEADER_FULL!r}, got {header!r}",
+            f"expected header {EXTERNAL_HEADER_BASE!r} or {EXTERNAL_HEADER_FULL!r}, got {names!r}",
             line=header_line,
         )
 
-    expected = 5 if has_interval else 3
-    groups: list[tuple[int, str, int, list]] = []
-    seen: set[int] = set()
-    for lineno, row in rows[1:]:
-        if len(row) != expected:
-            raise ParseError(f"expected {expected} fields, got {len(row)}: {row!r}", line=lineno)
-        try:
-            ts, _ = _parse_timestamp(row[0])
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-        try:
-            step = int(row[1])
-        except ValueError:
-            raise ParseError(f"step {row[1]!r} is not an integer", line=lineno) from None
-        try:
-            values = tuple(float(f) for f in row[2:])
-        except ValueError:
-            raise ParseError(f"non-numeric value in {row[2:]!r}", line=lineno) from None
-        if not all(math.isfinite(v) for v in values):
-            raise ParseError(f"non-finite value in {row[2:]!r}", line=lineno)
-        if not groups or groups[-1][0] != ts:
-            if ts in seen:
-                raise ParseError(f"rows for origin {row[0]} are not grouped together", line=lineno)
-            seen.add(ts)
-            groups.append((ts, row[0], lineno, []))
-        groups[-1][3].append((step, values))
-
-    del rows  # free the parsed rows before the values are stacked
-    for *_, steps in groups:
-        steps.sort(key=lambda s: s[0])
-    # The values of every step at once; a fault is reported at the origin of its row.
-    values = np.array([v for *_, steps in groups for _, v in steps]).reshape(-1, expected - 2)
-    fault = _first_fault(*values.T) if len(values) else None
-    faulty = -1
+    width = len(names.split(","))
+    timestamps, steps, values = array("q"), [], array("d")
+    for lines, rows in blocks:
+        block = _read_forecast_block(rows, width)
+        if block is None:
+            # Read the block again row by row to name the first faulty row; rows
+            # of an origin regrouped at an earlier row are reported instead.
+            for line, row in zip(lines, rows):
+                try:
+                    ts, step, fields = _read_forecast_row(row, width)
+                except ValueError as exc:
+                    raise _regrouped_fault(text, timestamps) or ParseError(str(exc), line=line) from None
+                timestamps.append(ts)
+                steps.append(step)
+                values.extend(fields)
+        else:
+            timestamps.extend(block[0])
+            steps.extend(block[1])
+            values.extend(block[2])
+    fault = _regrouped_fault(text, timestamps)
     if fault is not None:
-        faulty = int(np.searchsorted(np.cumsum([len(steps) for *_, steps in groups]), fault[0], "right"))
-    out = []
-    for g, (ts, label, lineno, steps) in enumerate(groups):
-        got = [s for s, _ in steps]
-        if got != list(range(1, len(got) + 1)):
-            raise ParseError(f"origin {label}: steps must be contiguous from 1, got {got}", line=lineno)
-        origin_index = -1
-        if series is not None:
-            origin_index = int(np.searchsorted(series.timestamps, ts))
-            if ts not in series.timestamps[origin_index : origin_index + 1]:
-                raise ParseError(
-                    f"origin {label} not present in series {series.symbol!r}", line=lineno
-                )
-        if g == faulty:
-            raise ParseError(f"origin {label}: {fault[1]}", line=lineno)
-        out.append((ts, Forecast._from_checked(origin_index, *zip(*(v for _, v in steps)))))
-    return out
+        raise fault
+
+    ts = np.frombuffer(timestamps, dtype=np.int64)
+    values = np.frombuffer(values).reshape(-1, width - 2)
+    starts = _group_starts(ts)
+    bounds = np.append(starts, len(ts))
+    group = np.repeat(np.arange(len(starts)), np.diff(bounds))
+    try:
+        steps = np.array(steps, dtype=np.int64)
+    except OverflowError:  # a step beyond 64 bits: never contiguous, but named as read
+        steps = np.array(steps, dtype=object)
+    order = np.lexsort((steps, group))
+    steps, values = steps[order], values[order]
+    # Every check of a whole origin at once; the first faulty origin is reported.
+    gapped = np.zeros(len(starts), dtype=bool)
+    gapped[group[steps != np.arange(len(ts)) - starts[group] + 1]] = True
+    origins = np.full(len(starts), -1)
+    absent = np.zeros(len(starts), dtype=bool)
+    if series is not None and len(starts):
+        origins = np.searchsorted(series.timestamps, ts[starts])
+        absent = series.timestamps[np.minimum(origins, len(series) - 1)] != ts[starts]
+    faulty = gapped | absent
+    value_fault = _first_fault(*values.T) if len(values) else None
+    if value_fault is not None:
+        faulty[group[value_fault[0]]] = True
+    if faulty.any():
+        g = int(faulty.argmax())
+        line, cells = _data_record(text, int(starts[g]))
+        label = cells[0]
+        if gapped[g]:
+            got = steps[bounds[g] : bounds[g + 1]].tolist()
+            raise ParseError(f"origin {label}: steps must be contiguous from 1, got {got}", line=line)
+        if absent[g]:
+            raise ParseError(f"origin {label} not present in series {series.symbol!r}", line=line)
+        raise ParseError(f"origin {label}: {value_fault[1]}", line=line)
+    return ExternalColumns(ts[starts], origins, bounds, values)
+
+
+def load_external_forecasts(
+    text: str | bytes, series: Series | None = None
+) -> list[tuple[int, Forecast]]:
+    """The forecasts of ``read_external_forecasts`` as (timestamp, Forecast) pairs in file order."""
+    loaded = read_external_forecasts(text, series)
+    columns = [column.tolist() for column in loaded.values.T]
+    bounds = loaded.bounds.tolist()
+    return [
+        (ts, Forecast._from_checked(origin, *(tuple(c[start:end]) for c in columns)))
+        for ts, origin, start, end in zip(
+            loaded.timestamps.tolist(), loaded.origins.tolist(), bounds, bounds[1:]
+        )
+    ]
 
 
 def save_external_forecasts(

@@ -15,13 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market_data import Window
+from .market_data import BLOCK, Window
 
 SUPPORT = "support"
 RESISTANCE = "resistance"
-
-# Origins per kernel call: bounds the (BLOCK, L) window arrays a backtest holds.
-BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -45,7 +42,8 @@ class TrendLine:
 
 
 def blocks(items):
-    """Consecutive slices of at most BLOCK items."""
+    """Consecutive slices of at most BLOCK items: origins per kernel call, which
+    bounds the (BLOCK, L) window arrays a backtest holds."""
     return (items[i : i + BLOCK] for i in range(0, len(items), BLOCK))
 
 

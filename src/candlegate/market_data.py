@@ -9,13 +9,13 @@ on the series so a serialize round-trip is bit-exact.
 
 from __future__ import annotations
 
-import calendar
 import csv
 import io
+import re
 from array import array
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -25,6 +25,12 @@ TS_ISO = "iso"
 TS_EPOCH = "epoch"
 
 _INT64_RANGE = range(-(2**63), 2**63)
+EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+_ISO_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_BLANK = re.compile(r"\ufeff*\s*")
+
+# Rows per block: bounds the arrays a kernel or the CSV reader holds at once.
+BLOCK = 1024
 
 
 class ParseError(ValueError):
@@ -115,20 +121,11 @@ class Series:
 
     @classmethod
     def from_rows(cls, symbol: str, rows, timestamp_format: str = TS_ISO) -> "Series":
-        """Series from (timestamp, open, high, low, close, volume) rows.
-
-        If iterating ``rows`` raises ValueError, the rows read so far are checked
-        first, so an invariant violation at an earlier row is reported instead.
-        """
+        """Series from (timestamp, open, high, low, close, volume) rows."""
         columns = [array("q"), *(array("d") for _ in range(5))]
-        try:
-            for ts, o, h, l, c, v in rows:
-                for column, value in zip(columns, (ts, o, h, l, c, v)):
-                    column.append(value)
-        except ValueError:
-            if len(columns[0]):
-                cls(symbol, *columns, timestamp_format)
-            raise
+        for ts, o, h, l, c, v in rows:
+            for column, value in zip(columns, (ts, o, h, l, c, v)):
+                column.append(value)
         return cls(symbol, *columns, timestamp_format)
 
     @property
@@ -174,23 +171,28 @@ class Window:
 
 
 def _parse_timestamp(text: str) -> tuple[int, str]:
-    """Parse an ISO date or integer epoch seconds; return (epoch, flavour)."""
-    text = text.strip()
-    if not text:
-        raise ValueError("empty timestamp")
-    try:
-        epoch = int(text)
-    except ValueError:
-        pass
-    else:
-        if epoch not in _INT64_RANGE:
-            raise ValueError(f"timestamp {text!r} is out of the 64-bit range")
-        return epoch, TS_EPOCH
+    """Parse an ISO date or integer epoch seconds; return (epoch, flavour).
+
+    An integer reading comes first, so ``20250708`` is epoch seconds; a plain
+    ``YYYY-MM-DD`` label can never be one and goes straight to the date.
+    """
+    if not _ISO_DAY.fullmatch(text):
+        text = text.strip()
+        if not text:
+            raise ValueError("empty timestamp")
+        try:
+            epoch = int(text)
+        except ValueError:
+            pass
+        else:
+            if epoch not in _INT64_RANGE:
+                raise ValueError(f"timestamp {text!r} is out of the 64-bit range")
+            return epoch, TS_EPOCH
     try:
         day = date.fromisoformat(text)
     except ValueError:
         raise ValueError(f"timestamp {text!r} is neither epoch seconds nor an ISO date")
-    return calendar.timegm(day.timetuple()), TS_ISO
+    return (day.toordinal() - EPOCH_ORDINAL) * 86_400, TS_ISO
 
 
 def format_timestamp(timestamp: int, flavour: str) -> str:
@@ -199,30 +201,14 @@ def format_timestamp(timestamp: int, flavour: str) -> str:
     return datetime.fromtimestamp(timestamp, tz=timezone.utc).date().isoformat()
 
 
-def _data_rows(records, flavour: str, lines: array):
-    """Yield one (timestamp, open, high, low, close, volume) row per CSV record.
+def _timestamps(labels: list[str]) -> tuple[array, set[str]]:
+    """Epoch seconds of the labels and the set of their flavours.
 
-    Each row's line number is appended to ``lines``; a malformed row raises
-    ParseError with its line number.
+    Each distinct label is parsed once; a malformed one raises ValueError.
     """
-    for lineno, row in records:
-        if len(row) != 6:
-            raise ParseError(f"expected 6 fields, got {len(row)}", line=lineno)
-        try:
-            ts, row_flavour = _parse_timestamp(row[0])
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-        if row_flavour != flavour:
-            raise ParseError(
-                f"inconsistent timestamp format ({row_flavour!r} after {flavour!r})",
-                line=lineno,
-            )
-        try:
-            o, h, l, c, v = (float(f) for f in row[1:])
-        except ValueError:
-            raise ParseError(f"non-numeric field in {row[1:]!r}", line=lineno) from None
-        lines.append(lineno)
-        yield ts, o, h, l, c, v
+    parsed = {label: _parse_timestamp(label) for label in set(labels)}
+    epochs = array("q", [parsed[label][0] for label in labels])
+    return epochs, {flavour for _, flavour in parsed.values()}
 
 
 def _decode(text: str | bytes) -> str:
@@ -234,38 +220,125 @@ def _decode(text: str | bytes) -> str:
         raise ParseError(f"invalid UTF-8 byte 0x{text[exc.start]:02x}", line=line) from None
 
 
+def _read_csv(data: str | bytes):
+    """``(header, blocks)`` of CSV input that ``_decode`` accepts.
+
+    Bytes are decoded as they are read, so no copy of the whole text is made.
+    Leading byte order marks are dropped.  ``header`` is ``(line, cells)`` of
+    the first non-blank record, or None if there is none; ``blocks`` yields
+    ``(lines, rows)`` for up to BLOCK further records at a time, without the
+    blank ones.  Line numbers count records from 1, blank ones included.
+    """
+    if isinstance(data, str):
+        stream = io.StringIO(data)
+    else:
+        stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
+    first = stream.readline().lstrip("\ufeff")
+    reader = csv.reader(chain((first,) if first else (), stream))
+    for line, cells in enumerate(reader, start=1):
+        if cells:
+            return (line, cells), _blocks(reader, line + 1)
+    return None, iter(())
+
+
+def _blocks(reader, line: int):
+    while block := list(islice(reader, BLOCK)):
+        lines = range(line, line + len(block))
+        line += len(block)
+        if not all(block):
+            lines = [n for n, cells in zip(lines, block) if cells]
+            block = [cells for cells in block if cells]
+        if block:
+            yield lines, block
+
+
+def _data_record(data: str | bytes, row: int) -> tuple[int, list[str]]:
+    """(line, cells) of the 0-based data row, read again from the input."""
+    for lines, rows in _read_csv(data)[1]:
+        if row < len(rows):
+            return lines[row], rows[row]
+        row -= len(rows)
+    raise IndexError(row)
+
+
+def _read_row(row: list[str], flavour: str) -> tuple[int, list[float]]:
+    """(timestamp, [open, high, low, close, volume]) of one data row; ValueError names its fault."""
+    if len(row) != 6:
+        raise ValueError(f"expected 6 fields, got {len(row)}")
+    ts, row_flavour = _parse_timestamp(row[0])
+    if row_flavour != flavour:
+        raise ValueError(f"inconsistent timestamp format ({row_flavour!r} after {flavour!r})")
+    try:
+        return ts, [float(f) for f in row[1:]]
+    except ValueError:
+        raise ValueError(f"non-numeric field in {row[1:]!r}") from None
+
+
+def _read_block(rows: list[list[str]], flavour: str) -> tuple[array, array] | None:
+    """Timestamps and row-major values of a block of data rows, or None if a row is faulty."""
+    if set(map(len, rows)) != {6}:
+        return None
+    cells = list(chain.from_iterable(rows))
+    try:
+        epochs, flavours = _timestamps(cells[::6])
+        del cells[::6]
+        values = array("d", map(float, cells))
+    except ValueError:
+        return None
+    return (epochs, values) if flavours == {flavour} else None
+
+
+def _series(data, symbol: str, timestamps: array, values: array, flavour: str) -> Series:
+    """The Series of parsed columns; a violated invariant is a ParseError on its row's line."""
+    try:
+        return Series(symbol, timestamps, *np.frombuffer(values).reshape(-1, 5).T, flavour)
+    except ValidationError as exc:
+        raise ParseError(exc.reason, line=_data_record(data, exc.index)[0]) from None
+
+
 def parse_csv(text: str | bytes, symbol: str = "") -> Series:
-    """Parse OHLCV CSV text into a Series, streaming its rows into columns.
+    """Parse OHLCV CSV text into a Series, reading BLOCK rows at a time into columns.
 
     A malformed row or a violated candle or ordering invariant raises
     ParseError with the line number of the earliest faulty row.
     """
-    text = _decode(text).lstrip("﻿")
-    if not text.strip():
+    if _BLANK.fullmatch(_decode(text)):
         raise ParseError("empty input: no header or data rows")
+    header, blocks = _read_csv(text)
+    header_line, header_row = header
+    names = ",".join(f.strip() for f in header_row)
+    if names != CSV_HEADER:
+        raise ParseError(f"expected header {CSV_HEADER!r}, got {names!r}", line=header_line)
 
-    reader = csv.reader(io.StringIO(text))
-    records = ((lineno, row) for lineno, row in enumerate(reader, start=1) if row)
-    header_line, header_row = next(records)
-    header = ",".join(f.strip() for f in header_row)
-    if header != CSV_HEADER:
-        raise ParseError(f"expected header {CSV_HEADER!r}, got {header!r}", line=header_line)
-    first = next(records, None)
-    if first is None:
+    timestamps, values = array("q"), array("d")
+    flavour = None
+    for lines, rows in blocks:
+        if flavour is None:
+            # The first row fixes the timestamp flavour; if its timestamp is
+            # malformed, that row is rejected before the flavour matters.
+            try:
+                _, flavour = _parse_timestamp(rows[0][0])
+            except ValueError:
+                flavour = TS_ISO
+        block = _read_block(rows, flavour)
+        if block is None:
+            # Read the block again row by row to name the first faulty row;
+            # a violated invariant at an earlier row is reported instead.
+            for line, row in zip(lines, rows):
+                try:
+                    ts, fields = _read_row(row, flavour)
+                except ValueError as exc:
+                    if timestamps:
+                        _series(text, symbol, timestamps, values, flavour)
+                    raise ParseError(str(exc), line=line) from None
+                timestamps.append(ts)
+                values.extend(fields)
+        else:
+            timestamps.extend(block[0])
+            values.extend(block[1])
+    if flavour is None:
         raise ParseError("empty input: header but no data rows")
-
-    # The first row fixes the timestamp flavour; if its timestamp is
-    # malformed, _data_rows rejects that row before the flavour matters.
-    try:
-        _, flavour = _parse_timestamp(first[1][0])
-    except ValueError:
-        flavour = TS_ISO
-    lines = array("q")
-    rows = _data_rows(chain((first,), records), flavour, lines)
-    try:
-        return Series.from_rows(symbol, rows, flavour)
-    except ValidationError as exc:
-        raise ParseError(exc.reason, line=lines[exc.index]) from None
+    return _series(text, symbol, timestamps, values, flavour)
 
 
 def serialize_csv(series: Series) -> str:

@@ -1,4 +1,5 @@
 from datetime import date
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from candlegate import market_data
 from candlegate.forecaster import (
     EXTERNAL_HEADER_BASE,
     EXTERNAL_HEADER_FULL,
+    ExternalForecaster,
     Forecast,
     Forecasts,
     Side,
@@ -22,10 +25,11 @@ from candlegate.forecaster import (
     side_of,
 )
 from candlegate.indicators import volatilities
-from candlegate.market_data import ParseError, Series, parse_csv, serialize_csv
+from candlegate.market_data import BLOCK, ParseError, Series, parse_csv, serialize_csv
 
 from conftest import make_series, make_window
 from oracles import least_squares_line, load_forecast_rows
+from test_market_data import TIMESTAMP_LABELS
 
 
 def _series_from_closes(closes):
@@ -295,10 +299,27 @@ def test_load_external_rejects_bad_rows_with_line(text, message):
         load_external_forecasts(text)
 
 
+@pytest.mark.parametrize("step", ["9223372036854775808", "-99999999999999999999999"])
+def test_load_external_names_steps_beyond_64_bits(step):
+    text = f"origin_timestamp,step,predicted_close\n2024-01-10,1,1.0\n2024-01-10,{step},2.0\n"
+    with pytest.raises(ParseError) as excinfo:
+        load_external_forecasts(text)
+    got = sorted([1, int(step)])
+    assert str(excinfo.value) == f"line 2: origin 2024-01-10: steps must be contiguous from 1, got {got}"
+
+
 def test_load_external_reports_undecodable_byte_with_line():
     data = EXTERNAL.encode().replace(b"2024-01-10,3,103.5", b"2024-01-10,3,103.5\xc3")
     with pytest.raises(ParseError, match="^line 4: invalid UTF-8 byte 0xc3$"):
         load_external_forecasts(data)
+
+
+@pytest.mark.parametrize("encode", [False, True], ids=["str", "bytes"])
+def test_load_external_strips_byte_order_marks(encode):
+    text = "\ufeff" + EXTERNAL
+    assert load_external_forecasts(text.encode() if encode else text) == load_external_forecasts(EXTERNAL)
+    with pytest.raises(ParseError, match="^line 3: step 'x'"):
+        load_external_forecasts("\ufeff\ufeff" + EXTERNAL.replace("2024-01-10,2,", "2024-01-10,x,"))
 
 
 def test_load_external_unknown_origin():
@@ -399,6 +420,18 @@ def forecast_rows(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(forecast_rows())
 def test_load_external_matches_row_at_a_time_reference(case):
+    _assert_load_matches_reference(case)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(forecast_rows())
+def test_load_external_matches_reference_across_blocks(case):
+    # Blocks of 3 rows: the drawn files of up to 16 rows cross block boundaries.
+    with mock.patch.object(market_data, "BLOCK", 3):
+        _assert_load_matches_reference(case)
+
+
+def _assert_load_matches_reference(case):
     has_interval, rows = case
     header = EXTERNAL_HEADER_FULL if has_interval else EXTERNAL_HEADER_BASE
     text = header + "\n" + "".join(",".join(cells) + "\n" for cells in rows)
@@ -414,6 +447,89 @@ def test_load_external_matches_row_at_a_time_reference(case):
     assert [(ts, f.origin_index, f.path, f.lower, f.upper) for ts, f in loaded] == [
         (ts, -1, path, lower, upper) for ts, path, lower, upper in expected
     ]
+
+
+def _forecast_file_rows(origins, horizon=3):
+    """Interval rows of consecutive daily origins, steps in order."""
+    return [
+        [_day_label(day, "iso"), str(step), "100.0", "99.0", "101.0"]
+        for day in range(19_000, 19_000 + origins)
+        for step in range(1, horizon + 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [
+        *([(row, kind)] for kind in ("non_numeric", "non_finite", "bracket", "gap", "ungrouped")
+          for row in (BLOCK - 1, BLOCK, BLOCK + 1)),
+        [(BLOCK - 1, "ungrouped"), (BLOCK + 1, "non_numeric")],
+        [(BLOCK - 1, "bracket"), (BLOCK, "non_numeric")],
+        [(BLOCK + 1, "gap"), (BLOCK - 1, "bracket")],
+    ],
+    ids=lambda faults: "+".join(f"{kind}@{row - BLOCK:+d}" for row, kind in faults),
+)
+def test_load_external_names_the_first_fault_near_a_block_boundary(faults):
+    rows = _forecast_file_rows(BLOCK)
+    for row, kind in faults:
+        if kind == "non_numeric":
+            rows[row][3] = "abc"
+        elif kind == "non_finite":
+            rows[row][4] = "inf"
+        elif kind == "bracket":
+            rows[row][2] = "102.0"
+        elif kind == "gap":
+            rows[row][1] = "7"
+        elif kind == "ungrouped":
+            rows[row][0] = rows[0][0]
+    _, (line, message) = load_forecast_rows(rows, True)
+    text = EXTERNAL_HEADER_FULL + "\n" + "".join(",".join(cells) + "\n" for cells in rows)
+    with pytest.raises(ParseError) as excinfo:
+        load_external_forecasts(text.encode())
+    assert str(excinfo.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize("label, expected", TIMESTAMP_LABELS.items(), ids=ascii)
+@pytest.mark.parametrize("preceding", [0, BLOCK])
+def test_load_external_reads_pinned_timestamp_labels(label, expected, preceding):
+    """The label on the first data row, or on the first row of the second block."""
+    rows = [[str(day), "1", "100.0"] for day in range(preceding)]
+    text = EXTERNAL_HEADER_BASE + "\n" + "".join(",".join(cells) + "\n" for cells in rows)
+    text += f"{label},1,100.0\n"
+    if isinstance(expected, str):
+        with pytest.raises(ParseError) as excinfo:
+            load_external_forecasts(text.encode())
+        assert str(excinfo.value) == f"line {preceding + 2}: timestamp {label.strip()!r} {expected}"
+        return
+    assert load_external_forecasts(text.encode())[-1][0] == expected[0]
+
+
+@pytest.mark.parametrize("preceding", [1, BLOCK])
+def test_load_external_mixes_timestamp_flavours(preceding):
+    days = range(2 * preceding)
+    for flavours in (("iso", "epoch"), ("epoch", "iso")):
+        rows = [[_day_label(day, flavours[day >= preceding]), "1", "100.0"] for day in days]
+        text = EXTERNAL_HEADER_BASE + "\n" + "".join(",".join(cells) + "\n" for cells in rows)
+        assert [ts for ts, _ in load_external_forecasts(text.encode())] == [day * DAY for day in days]
+
+
+@pytest.mark.parametrize("with_interval", [False, True])
+def test_external_forecaster_columns_match_the_loaded_forecasts(with_interval):
+    rng = np.random.default_rng(31)
+    series = make_series(rng, 2 * BLOCK)
+    origins = rng.permutation(np.arange(10, 2 * BLOCK))[:700]
+    items = [(int(series.timestamps[o]), drift_forecast(series.window(o - 9, o + 1), 4)) for o in origins]
+    if not with_interval:
+        items = [(ts, Forecast(f.origin_index, f.path)) for ts, f in items]
+    text = save_external_forecasts(items, series.timestamp_format)
+    ext = ExternalForecaster.load(text.encode(), series, 4)
+    loaded = sorted(load_external_forecasts(text, series), key=lambda item: item[0])
+    stacked = Forecasts.stack([f for _, f in loaded])
+    assert ext.timestamps.tolist() == [ts for ts, _ in loaded]
+    assert ext.table.origins.tolist() == stacked.origins.tolist() == sorted(origins.tolist())
+    for name in ("paths", "lower", "upper"):
+        got, want = getattr(ext.table, name), getattr(stacked, name)
+        assert (got is None and want is None) or got.tobytes() == want.tobytes()
 
 
 @st.composite

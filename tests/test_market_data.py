@@ -1,10 +1,15 @@
+import sys
+import tracemalloc
 from datetime import date
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from candlegate import market_data
 from candlegate.market_data import (
+    BLOCK,
     ParseError,
     Series,
     ValidationError,
@@ -58,6 +63,12 @@ def test_parse_rejects_empty_input():
         parse_csv(f"{HEADER}\n")
 
 
+@pytest.mark.parametrize("text", ["\ufeff", "\ufeff \n", " \r \n", "\u3000\n\n", b"\xef\xbb\xbf\t\r\n"])
+def test_parse_rejects_blank_input(text):
+    with pytest.raises(ParseError, match="^empty input: no header or data rows$"):
+        parse_csv(text)
+
+
 def test_parse_rejects_mixed_timestamp_formats():
     text = f"{HEADER}\n2025-07-08,100,101,99,100,1\n1752000000,100,101,99,100,1\n"
     with pytest.raises(ParseError, match="line 3.*timestamp format"):
@@ -86,6 +97,15 @@ def test_parse_reports_undecodable_byte_with_line(line):
     lines[line - 1] += b"\xfe"
     with pytest.raises(ParseError, match=f"^line {line}: invalid UTF-8 byte 0xfe$"):
         parse_csv(b"\r\n".join(lines) + b"\r\n")
+
+
+@pytest.mark.parametrize("encode", [False, True], ids=["str", "bytes"])
+def test_parse_strips_byte_order_marks(encode):
+    text = f"\ufeff{HEADER}\n2025-07-08,100,101,99,100,1\n2025-07-09,100,101,99,100,1\n"
+    series = parse_csv(text.encode() if encode else text)
+    assert series.timestamps.tolist() == [1751932800, 1752019200]
+    with pytest.raises(ParseError, match="^line 3: non-numeric"):
+        parse_csv("\ufeff\ufeff" + text.replace("2025-07-09,100", "2025-07-09,x"))
 
 
 def test_parse_accepts_crlf():
@@ -213,6 +233,18 @@ def _csv_text(flavour, rows):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(csv_rows())
 def test_parse_matches_row_at_a_time_reference(case):
+    _assert_parse_matches_reference(case)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(csv_rows())
+def test_parse_matches_reference_across_blocks(case):
+    # Blocks of 3 rows: the drawn files of up to 8 rows cross block boundaries.
+    with mock.patch.object(market_data, "BLOCK", 3):
+        _assert_parse_matches_reference(case)
+
+
+def _assert_parse_matches_reference(case):
     flavour, rows = case
     text = _csv_text(flavour, rows)
     fault = first_row_fault(rows)
@@ -233,3 +265,97 @@ def test_parse_matches_row_at_a_time_reference(case):
     for got, again, column in zip(series.columns, reparsed.columns, expected):
         assert got.tobytes() == column.tobytes()
         assert again.tobytes() == column.tobytes()
+
+
+def _valid_rows(n, flavour="iso", end=None):
+    """n valid rows of consecutive timestamps, ending one step before ``end`` if given."""
+    step = DAY if flavour == "iso" else 1
+    first = step if end is None else end - step * n
+    return [[first + step * i, ["100.0", "101.5", "99.25", "100.5", "7.0"]] for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [
+        *([(row, "non_numeric")] for row in (BLOCK - 1, BLOCK, BLOCK + 1)),
+        *([(row, "body")] for row in (BLOCK - 1, BLOCK, BLOCK + 1)),
+        *([(row, "timestamp")] for row in (BLOCK - 1, BLOCK, BLOCK + 1)),
+        [(BLOCK - 1, "body"), (BLOCK + 1, "non_numeric")],
+        [(BLOCK - 1, "timestamp"), (BLOCK, "non_numeric")],
+        [(BLOCK + 1, "nan"), (BLOCK + 1, "non_numeric")],
+    ],
+    ids=lambda faults: "+".join(f"{kind}@{row - BLOCK:+d}" for row, kind in faults),
+)
+def test_parse_names_the_first_fault_near_a_block_boundary(faults):
+    rows = _valid_rows(3 * BLOCK)
+    for row, kind in faults:
+        if kind == "non_numeric":
+            rows[row][1][3] = "abc"
+        elif kind == "nan":
+            rows[row][1][0] = "nan"
+        elif kind == "body":
+            rows[row][1][0] = "150.0"
+        elif kind == "timestamp":
+            rows[row][0] = rows[row - 1][0]
+    index, message = first_row_fault(rows)
+    with pytest.raises(ParseError) as excinfo:
+        parse_csv(_csv_text("iso", rows).encode())
+    assert str(excinfo.value) == f"line {index + 2}: {message}"
+
+
+# How each label reads: (epoch seconds, flavour), or the end of its error message.
+WEEK_DATE = (1751932800, "iso") if sys.version_info >= (3, 11) else "is neither epoch seconds nor an ISO date"
+TIMESTAMP_LABELS = {
+    "20250708": (20250708, "epoch"),
+    " 2025-07-08 ": (1751932800, "iso"),
+    "2025-07-08": (1751932800, "iso"),
+    "2025-W28-2": WEEK_DATE,
+    "2025-07-08T00:00:00": "is neither epoch seconds nor an ISO date",
+    "2024-02-30": "is neither epoch seconds nor an ISO date",
+    "0000-01-01": "is neither epoch seconds nor an ISO date",
+    "1900-03-01": (-2203891200, "iso"),
+    "9999-12-31": (253402214400, "iso"),
+    "\uff12\uff10\uff12\uff15-\uff10\uff17-\uff10\uff18": "is neither epoch seconds nor an ISO date",
+    "\u0662\u0660\u0662\u0665-\u0660\u0667-\u0660\u0668": "is neither epoch seconds nor an ISO date",
+    "\uff11\uff17" + "\uff10" * 8: (1700000000, "epoch"),
+    "1_700_000_000": (1700000000, "epoch"),
+    "+1700000000": (1700000000, "epoch"),
+}
+
+
+@pytest.mark.parametrize("label, expected", TIMESTAMP_LABELS.items(), ids=ascii)
+@pytest.mark.parametrize("preceding", [0, BLOCK])
+def test_parse_reads_pinned_timestamp_labels(label, expected, preceding):
+    """The label on the first data row, or on the first row of the second block."""
+    flavour, end = expected[::-1] if isinstance(expected, tuple) else ("iso", None)
+    text = _csv_text(flavour, _valid_rows(preceding, flavour, end)) + f"{label},100,101,99,100,1\n"
+    if isinstance(expected, str):
+        with pytest.raises(ParseError) as excinfo:
+            parse_csv(text.encode())
+        assert str(excinfo.value) == f"line {preceding + 2}: timestamp {label.strip()!r} {expected}"
+        return
+    series = parse_csv(text.encode())
+    assert (series.timestamps[-1], series.timestamp_format) == expected
+
+
+@pytest.mark.parametrize("preceding", [1, BLOCK])
+@pytest.mark.parametrize("first, then", [("iso", "epoch"), ("epoch", "iso")])
+def test_parse_rejects_a_flavour_change_after_a_block_boundary(first, then, preceding):
+    text = _csv_text(first, _valid_rows(preceding, first))
+    text += "2099-01-01,100,101,99,100,1\n" if then == "iso" else "4102444800,100,101,99,100,1\n"
+    with pytest.raises(ParseError) as excinfo:
+        parse_csv(text.encode())
+    assert str(excinfo.value) == (
+        f"line {preceding + 2}: inconsistent timestamp format ({then!r} after {first!r})"
+    )
+
+
+def test_parse_peak_memory_is_at_most_three_times_the_input():
+    data = serialize_csv(make_series(np.random.default_rng(7), 20_000)).encode()
+    tracemalloc.start()
+    try:
+        parse_csv(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(data), f"peak {peak} bytes for {len(data)} input bytes"
