@@ -13,6 +13,7 @@ import csv
 import io
 import re
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from itertools import chain, islice
@@ -235,21 +236,32 @@ def _read_csv(data: str | bytes):
         stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
     first = stream.readline().lstrip("\ufeff")
     reader = csv.reader(chain((first,) if first else (), stream))
-    for line, cells in enumerate(reader, start=1):
-        if cells:
-            return (line, cells), _blocks(reader, line + 1)
+    with _csv_errors(reader):
+        for line, cells in enumerate(reader, start=1):
+            if cells:
+                return (line, cells), _blocks(reader, line + 1)
     return None, iter(())
 
 
 def _blocks(reader, line: int):
-    while block := list(islice(reader, BLOCK)):
-        lines = range(line, line + len(block))
-        line += len(block)
-        if not all(block):
-            lines = [n for n, cells in zip(lines, block) if cells]
-            block = [cells for cells in block if cells]
-        if block:
-            yield lines, block
+    with _csv_errors(reader):
+        while block := list(islice(reader, BLOCK)):
+            lines = range(line, line + len(block))
+            line += len(block)
+            if not all(block):
+                lines = [n for n, cells in zip(lines, block) if cells]
+                block = [cells for cells in block if cells]
+            if block:
+                yield lines, block
+
+
+@contextmanager
+def _csv_errors(reader):
+    """A record the csv module cannot split is a ParseError on the line it reached."""
+    try:
+        yield
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
 
 
 def _data_record(data: str | bytes, row: int) -> tuple[int, list[str]]:

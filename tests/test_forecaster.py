@@ -322,6 +322,11 @@ def test_load_external_strips_byte_order_marks(encode):
         load_external_forecasts("\ufeff\ufeff" + EXTERNAL.replace("2024-01-10,2,", "2024-01-10,x,"))
 
 
+def test_load_external_reports_a_carriage_return_inside_a_field_with_line():
+    with pytest.raises(ParseError, match="^line 4: new-line character seen in unquoted field"):
+        load_external_forecasts(EXTERNAL.replace("2024-01-10,3,103.5", "2024-01-10,3,10\r3.5").encode())
+
+
 def test_load_external_unknown_origin():
     series = _series_from_closes([100.0, 101.0])
     with pytest.raises(ValueError, match="not present in series"):

@@ -108,6 +108,12 @@ def test_parse_strips_byte_order_marks(encode):
         parse_csv("\ufeff\ufeff" + text.replace("2025-07-09,100", "2025-07-09,x"))
 
 
+def test_parse_reports_a_carriage_return_inside_a_field_with_line():
+    text = f"{HEADER}\n2025-07-08,100,101,99,100,1\n2025-07-09,100,1\r01,99,100,1\n"
+    with pytest.raises(ParseError, match="^line 3: new-line character seen in unquoted field"):
+        parse_csv(text.encode())
+
+
 def test_parse_accepts_crlf():
     text = f"{HEADER}\r\n2025-07-08,100,101,99,100,1\r\n"
     assert len(parse_csv(text)) == 1
