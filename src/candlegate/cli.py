@@ -26,13 +26,8 @@ from .evaluation import (
     train_gate_on_series,
     walk_forward,
 )
-from .forecaster import (
-    DEFAULT_COVERAGE,
-    KERNELS,
-    Baseline,
-    ExternalForecaster,
-    save_external_forecasts,
-)
+from .forecaster import DEFAULT_COVERAGE, KERNELS, Baseline, ExternalForecaster, coverage_z
+from .forecaster import save_external_forecasts
 from .market_data import Series, Window, format_timestamp, parse_csv
 from .indicators import blocks, fit_resistance_line, fit_support_line, resample_line
 from .prompt_prefix import BITCOIN_DOMAIN, PromptConfig, build_prompt
@@ -91,6 +86,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None and value != []:
             merged[key] = value
+    coverage_z(merged["coverage"])  # a bad coverage is reported before any input is read
     return merged
 
 

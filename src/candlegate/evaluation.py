@@ -333,20 +333,19 @@ def parse_report_json(text: str | bytes) -> list[MetricsRow]:
 def emit_forecast_trace(table: EvalTable, series: Series) -> str:
     """Long-format, plot-ready CSV: one row per origin per forecast step."""
     lines = [TRACE_CSV_HEADER]
-    closes, timestamps = series.closes.tolist(), series.timestamps.tolist()
-    forecasts = table.forecasts
+    forecasts, origins, timestamps = table.forecasts, table.origins.tolist(), series.timestamps.tolist()
+    # Each realized close the trace reads is formatted once: actual[i] is close base + 1 + i.
+    base, end = min(origins, default=0), max(origins, default=0) + forecasts.horizon
+    actual = list(map(repr, series.closes[base + 1 : end + 1].tolist()))
     paths = forecasts.paths.tolist()
     if forecasts.lower is None:
         lowers = uppers = [None] * len(paths)
     else:
         lowers, uppers = forecasts.lower.tolist(), forecasts.upper.tolist()
-    for origin, path, lower, upper, executed in zip(
-        table.origins.tolist(), paths, lowers, uppers, table.executed.tolist()
-    ):
+    for origin, path, lower, upper, executed in zip(origins, paths, lowers, uppers, table.executed.tolist()):
         ts = format_timestamp(timestamps[origin], series.timestamp_format)
         flag = "true" if executed else "false"
         for k, predicted in enumerate(path):
-            step = k + 1
             interval = "," if lower is None else f"{lower[k]!r},{upper[k]!r}"
-            lines.append(f"{ts},{step},{predicted!r},{interval},{closes[origin + step]!r},{flag}")
+            lines.append(f"{ts},{k + 1},{predicted!r},{interval},{actual[origin - base + k]},{flag}")
     return "\n".join(lines) + "\n"

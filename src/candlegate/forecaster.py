@@ -1,9 +1,9 @@
 """Primary forecasters (M1): multi-step baselines and external prediction import.
 
 Forecasts at many origins are held as read-only columns (Forecasts), one row
-per origin and one column per step.  The baselines are kernels on the gathered
-(N, L) close windows of a block of origins and work row by row; the
-one-window functions run the same kernel on one row.  External model
+per origin and one column per step.  The baselines are Baseline objects: kernels
+on the gathered (N, L) close windows of a block of origins that work row by
+row, and run on one row when called on one window.  External model
 predictions enter through a long-format CSV keyed by origin timestamp; joins
 are exact, never nearest-match.
 """
@@ -251,7 +251,11 @@ class BlockForecaster:
 
 @dataclass(frozen=True)
 class Baseline(BlockForecaster):
-    """A baseline kernel, run on the gathered windows of each block of origins."""
+    """A baseline kernel, run on the gathered windows of each block of origins.
+
+    Called on one window, it runs the kernel on that window's row alone, at
+    the given coverage or its own.
+    """
 
     kernel: Callable
     coverage: float = DEFAULT_COVERAGE
@@ -263,29 +267,17 @@ class Baseline(BlockForecaster):
         ]
         return Forecasts(origins, *map(np.concatenate, zip(*parts)))
 
-
-def _one_window(kernel, w: Window, horizon: int, coverage: float) -> Forecast:
-    """The kernel on the window's row, checked once."""
-    columns = kernel(w.closes[None, :], horizon, coverage)
-    fault = _first_fault(*columns)
-    if fault is not None:
-        raise ValueError(fault[1])
-    return _row(w.end - 1, 0, *columns)
+    def __call__(self, w: Window, horizon: int, coverage: float | None = None) -> Forecast:
+        columns = self.kernel(w.closes[None, :], horizon, self.coverage if coverage is None else coverage)
+        fault = _first_fault(*columns)
+        if fault is not None:
+            raise ValueError(fault[1])
+        return _row(w.end - 1, 0, *columns)
 
 
-def naive_forecast(w: Window, horizon: int, coverage: float = DEFAULT_COVERAGE) -> Forecast:
-    """Repeat the last close; interval widens with the square root of the step."""
-    return _one_window(_naive, w, horizon, coverage)
-
-
-def drift_forecast(w: Window, horizon: int, coverage: float = DEFAULT_COVERAGE) -> Forecast:
-    """Extrapolate the mean one-step close change of the window."""
-    return _one_window(_drift, w, horizon, coverage)
-
-
-def linreg_forecast(w: Window, horizon: int, coverage: float = DEFAULT_COVERAGE) -> Forecast:
-    """Least-squares line over (index, close), extrapolated past the window."""
-    return _one_window(_linreg, w, horizon, coverage)
+naive_forecast = Baseline(_naive)  # the last close; the interval widens with sqrt(step)
+drift_forecast = Baseline(_drift)  # the window's mean one-step close change, extrapolated
+linreg_forecast = Baseline(_linreg)  # a least-squares line over (index, close), extrapolated
 
 
 def is_up(close, origin_close):

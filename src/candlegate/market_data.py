@@ -28,6 +28,8 @@ TS_EPOCH = "epoch"
 _INT64_RANGE = range(-(2**63), 2**63)
 EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 _ISO_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_ISO_DAYS = re.compile(f"(?:{_ISO_DAY.pattern}\n)*")
+_FIRST_DAY = np.datetime64("0001-01-01")
 _BLANK = re.compile(r"\ufeff*\s*")
 
 # Rows per block: bounds the arrays a kernel or the CSV reader holds at once.
@@ -205,8 +207,19 @@ def format_timestamp(timestamp: int, flavour: str) -> str:
 def _timestamps(labels: list[str]) -> tuple[array, set[str]]:
     """Epoch seconds of the labels and the set of their flavours.
 
-    Each distinct label is parsed once; a malformed one raises ValueError.
+    A block of plain ``YYYY-MM-DD`` labels (their joined length rules out a
+    newline inside one) is converted as one vector.  Any other block, or one in
+    which NumPy rejects a date or reads one before year 1, has each distinct
+    label parsed once; a malformed one raises ValueError.
     """
+    joined = "\n".join(labels) + "\n"
+    if len(joined) == 11 * len(labels) and _ISO_DAYS.fullmatch(joined):
+        try:
+            days = np.array(labels, dtype="datetime64[D]")
+            if days.min() >= _FIRST_DAY:
+                return array("q", (days.astype(np.int64) * 86_400).tobytes()), {TS_ISO}
+        except ValueError:
+            pass
     parsed = {label: _parse_timestamp(label) for label in set(labels)}
     epochs = array("q", [parsed[label][0] for label in labels])
     return epochs, {flavour for _, flavour in parsed.values()}

@@ -201,6 +201,24 @@ def test_backtest_rejects_unknown_required_rule_before_reading_data(monkeypatch,
     assert err.startswith("error: ") and "'nope'" in err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["forecast", "train-gate", "backtest"])
+def test_bad_coverage_is_reported_before_the_input_is_read(command, source, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("time,open,high,low,close,volume\n2024-01-01,100,101,99,100,1\n")
+    args = [command, str(bad), *BT_ARGS]
+    if command == "train-gate":
+        args += ["--out", str(tmp_path / "gate.json")]
+    if source == "flag":
+        args += ["--coverage", "1.5"]
+    else:
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"coverage": 1.5}))
+        args += ["--config", str(config_path)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == "error: coverage must be in (0, 1), got 1.5\n"
+
+
 def _gate_payload(**changes):
     payload = {
         "format": 2,

@@ -149,7 +149,7 @@ def test_direction_agrees_with_predicted_return_sign():
         assert side_of(f.path[-1], last) == expected
 
 
-@pytest.mark.parametrize("builder", [naive_forecast, drift_forecast])
+@pytest.mark.parametrize("builder", [naive_forecast, drift_forecast], ids=["naive_forecast", "drift_forecast"])
 def test_interval_width_nondecreasing(builder):
     rng = np.random.default_rng(17)
     for _ in range(20):

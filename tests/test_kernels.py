@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from candlegate import evaluation, forecaster, indicators, reliability_gate, rule_engine
-from candlegate.evaluation import EvalConfig, walk_forward
+from candlegate.evaluation import EvalConfig, train_gate_on_series, walk_forward
 from candlegate.cli import _resolve_forecaster
-from candlegate.forecaster import BASELINES, KERNELS, Baseline, BlockForecaster, Forecast, drift_forecast
+from candlegate.forecaster import BASELINES, DEFAULT_COVERAGE, KERNELS, Baseline, BlockForecaster, Forecast
+from candlegate.forecaster import drift_forecast
 from candlegate.forecaster import save_external_forecasts
 from candlegate.indicators import (
     BLOCK,
@@ -31,6 +32,7 @@ from candlegate.reliability_gate import (
     decide,
     extract_features,
     feature_rows,
+    model_to_json,
     score,
     scores,
 )
@@ -259,7 +261,8 @@ def _spy_on_one_window_forecasts(monkeypatch, calls):
         fn = getattr(forecaster, f"{name}_forecast")
         monkeypatch.setattr(forecaster, f"{name}_forecast", _counting(name, fn, calls))
         monkeypatch.setitem(BASELINES, name, _counting(name, fn, calls))
-    monkeypatch.setattr(BlockForecaster, "__call__", _counting("one window", BlockForecaster.__call__, calls))
+    for cls in (BlockForecaster, Baseline):
+        monkeypatch.setattr(cls, "__call__", _counting("one window", cls.__call__, calls))
     monkeypatch.setattr(Forecast, "__post_init__", _counting("Forecast", Forecast.__post_init__, calls))
     from_checked = Forecast._from_checked.__func__
     monkeypatch.setattr(Forecast, "_from_checked", classmethod(_counting("Forecast", from_checked, calls)))
@@ -287,6 +290,52 @@ def test_cli_forecasters_make_no_one_window_calls_and_build_no_forecast(model, m
     assert calls == []
     table[0]  # a row read builds its forecast
     assert calls == ["Forecast"]
+
+
+def _table_bits(table):
+    columns = (table.origins, table.predicted_up, table.realized_up, table.scores, table.rules_ok,
+               table.forecasts.paths, table.forecasts.lower, table.forecasts.upper)
+    return table.threshold, [c.tobytes() for c in columns]
+
+
+@pytest.mark.parametrize("name", ["naive", "drift", "linreg"])
+def test_module_baselines_take_the_block_path(name, monkeypatch):
+    """naive_forecast, drift_forecast and linreg_forecast are Baselines: training and
+    walk-forward with them make no one-window calls and give, bit for bit, the gate and
+    table of the CLI's Baseline and of a plain callable that forecasts per origin."""
+    baseline = getattr(forecaster, f"{name}_forecast")
+    series = make_series(np.random.default_rng(10), 800)
+    rule = bottoming_tail_rule()
+    cfg = EvalConfig(lookback=95, horizon=4, train_fraction=0.6, required_rules=(rule.name,))
+    origins = []
+
+    def per_origin(w, horizon):
+        origins.append(w.end - 1)
+        return baseline(w, horizon)
+
+    expected = []
+    for other in (Baseline(KERNELS[name], DEFAULT_COVERAGE), per_origin):
+        gate = train_gate_on_series(series, other, [rule], cfg)
+        expected.append((model_to_json(gate), _table_bits(walk_forward(series, other, gate, [rule], cfg))))
+    train_origins, eval_origins = evaluation._origin_splits(series, cfg)
+    assert origins == train_origins + eval_origins
+    calls = []
+    _spy_on_one_window_forecasts(monkeypatch, calls)
+    gate = train_gate_on_series(series, baseline, [rule], cfg)
+    table = walk_forward(series, baseline, gate, [rule], cfg)
+    assert calls == []
+    assert [(model_to_json(gate), _table_bits(table))] * 2 == expected
+
+
+def test_drift_forecast_at_a_coverage_is_its_batch_row():
+    series = make_series(np.random.default_rng(11), 300)
+    origins = np.arange(119, 300)
+    batch = Baseline(KERNELS["drift"], 0.9).forecasts(series, origins, 120, 6)
+    for i in (0, 90, len(origins) - 1):
+        w = series.window(int(origins[i]) - 119, int(origins[i]) + 1)
+        assert _bits(drift_forecast(w, 6, coverage=0.9)) == _bits(batch[i])
+        assert _bits(Baseline(KERNELS["drift"], 0.9)(w, 6)) == _bits(batch[i])
+    assert _bits(drift_forecast(w, 6)) != _bits(batch[-1])  # its own coverage is the default
 
 
 def _bits(forecast: Forecast):

@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+from array import array
 from datetime import date
 from unittest import mock
 
@@ -8,11 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from candlegate import market_data
+from candlegate.forecaster import load_external_forecasts
 from candlegate.market_data import (
     BLOCK,
     ParseError,
     Series,
     ValidationError,
+    _parse_timestamp,
+    _timestamps,
     parse_csv,
     serialize_csv,
 )
@@ -354,6 +358,87 @@ def test_parse_rejects_a_flavour_change_after_a_block_boundary(first, then, prec
     assert str(excinfo.value) == (
         f"line {preceding + 2}: inconsistent timestamp format ({then!r} after {first!r})"
     )
+
+
+# Labels a block of plain ISO dates must not convert as one vector: NumPy reads
+# year 0, the date module does not; the others are not dates or hold a newline.
+PLANTED_DAYS = ("0000-01-01", "2024-02-30", "2023-02-29", "2024-13-01", "2024-00-10", "2024-01-00",
+                "2024-01\n-05", "2024-01-05\n2024-01-06")
+
+
+@st.composite
+def timestamp_labels(draw, lead: int = 0):
+    """Labels of consecutive days from ``lead`` + 1..12 rows, some replaced at random rows.
+
+    A replacement is a planted non-date, or the row's own day as epoch seconds,
+    padded, or quoted with a trailing newline, so the rows stay in order.
+    """
+    first = draw(st.integers(date(1950, 1, 1).toordinal(), date(2090, 1, 1).toordinal()))
+    n = lead + draw(st.integers(1, 12))
+    labels = [date.fromordinal(first + i).isoformat() for i in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(lead, n - 1))
+        epoch = (first + i - date(1970, 1, 1).toordinal()) * DAY
+        labels[i] = draw(st.sampled_from([*PLANTED_DAYS, str(epoch), f" {labels[i]} ", f"{labels[i]}\n"]))
+    return labels
+
+
+def _label_cell(label):
+    return f'"{label}"' if "\n" in label else label
+
+
+def _assert_labels_read_as_one_at_a_time(labels):
+    """_timestamps, parse_csv and load_external_forecasts against _parse_timestamp per label."""
+    readings = {}  # line: (epoch, flavour) of each well-formed label
+    faults = []  # (line, message) of each malformed label
+    for line, label in enumerate(labels, start=2):
+        try:
+            readings[line] = _parse_timestamp(label)
+        except ValueError as exc:
+            faults.append((line, str(exc)))
+    epochs = [epoch for epoch, _ in readings.values()]
+    if faults:
+        with pytest.raises(ValueError):
+            _timestamps(labels)
+    else:
+        assert _timestamps(labels) == (array("q", epochs), {f for _, f in readings.values()})
+
+    # A market file also needs one flavour, which its first row sets.
+    flavour = readings.get(2, (None, None))[1]
+    market_faults = faults + [
+        (line, f"inconsistent timestamp format ({f!r} after {flavour!r})")
+        for line, (_, f) in readings.items() if f != flavour
+    ]
+    market = HEADER + "\n" + "".join(f"{_label_cell(label)},100,101,99,100,1\n" for label in labels)
+    forecasts = "origin_timestamp,step,predicted_close\n" + "".join(
+        f"{_label_cell(label)},1,100.5\n" for label in labels
+    )
+    for read, text, fault in ((parse_csv, market, min(market_faults, default=None)),
+                              (load_external_forecasts, forecasts, min(faults, default=None))):
+        if fault is not None:
+            with pytest.raises(ParseError) as excinfo:
+                read(text)
+            assert (excinfo.value.line, str(excinfo.value)) == (fault[0], f"line {fault[0]}: {fault[1]}")
+    if not market_faults:
+        series = parse_csv(market)
+        assert (series.timestamps.tolist(), series.timestamp_format) == (epochs, flavour)
+    if not faults:
+        assert [ts for ts, _ in load_external_forecasts(forecasts)] == epochs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(timestamp_labels())
+def test_block_date_conversion_matches_per_label_parsing_across_blocks(labels):
+    # Blocks of 3 rows: the planted labels land in every position of a block.
+    with mock.patch.object(market_data, "BLOCK", 3):
+        _assert_labels_read_as_one_at_a_time(labels)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(timestamp_labels(lead=BLOCK - 6))
+def test_block_date_conversion_matches_per_label_parsing(labels):
+    # The planted labels land in the last rows of the first block or the first of the second.
+    _assert_labels_read_as_one_at_a_time(labels)
 
 
 def test_parse_peak_memory_is_at_most_three_times_the_input():
