@@ -17,12 +17,9 @@ from .market_data import (
 )
 from .indicators import (
     TrendLine,
-    WindowStats,
     fit_resistance_line,
     fit_support_line,
     resample_line,
-    sample_line,
-    window_stats,
 )
 from .rule_engine import (
     InsufficientHistoryError,

@@ -211,17 +211,12 @@ def cmd_backtest(args) -> int:
 
 def cmd_prompt(args) -> int:
     cfg = _merge_config(args)
+    # A bad config is reported before any input is read.
+    prompt_cfg = PromptConfig(cfg["asset"], cfg["domain"], cfg["lookback"], cfg["horizon"], cfg["samples"])
     series = _load_series(args.data, cfg["symbol"])
-    w = _trailing_window(series, cfg["lookback"])
-    support = resample_line(fit_support_line(w), len(w), cfg["samples"])
-    resistance = resample_line(fit_resistance_line(w), len(w), cfg["samples"])
-    prompt_cfg = PromptConfig(
-        asset=cfg["asset"],
-        domain=cfg["domain"],
-        lookback=cfg["lookback"],
-        horizon=cfg["horizon"],
-        line_samples=cfg["samples"],
-    )
+    w = _trailing_window(series, prompt_cfg.lookback)
+    support = resample_line(fit_support_line(w), len(w), prompt_cfg.line_samples)
+    resistance = resample_line(fit_resistance_line(w), len(w), prompt_cfg.line_samples)
     text = build_prompt(w, support, resistance, prompt_cfg)
     sys.stdout.write(text)
     if args.out:

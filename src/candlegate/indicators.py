@@ -1,8 +1,9 @@
-"""Window statistics, trend-line envelopes and realized volatility.
+"""Trend-line envelopes and realized volatility.
 
 The kernels take an (N, L) array holding N trailing windows, one row per
 forecast origin, and work row by row, so a row's result does not depend on N.
-The one-window functions call the same kernels on a single row.
+The one-window functions call the same kernels on a single row; envelope_lines
+also takes that row as a bare (L,) array.
 
 Support/resistance lines are least-squares fits through the window lows/highs,
 shifted so the line becomes a touching envelope (no low below the support line,
@@ -12,6 +13,7 @@ no high above the resistance line).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,13 +21,6 @@ from .market_data import BLOCK, Window
 
 SUPPORT = "support"
 RESISTANCE = "resistance"
-
-
-@dataclass(frozen=True)
-class WindowStats:
-    min: float
-    max: float
-    mean: float
 
 
 @dataclass(frozen=True)
@@ -56,35 +51,39 @@ def window_index(ends: np.ndarray, length: int) -> np.ndarray:
     return ends[:, None] + np.arange(-length, 0)
 
 
-def window_stats(w: Window) -> WindowStats:
-    """Min / max / mean of the window closes."""
-    closes = w.closes
-    return WindowStats(float(closes.min()), float(closes.max()), float(closes.mean()))
+@lru_cache(maxsize=64)
+def _axis(length: int) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Steps 0..length-1 as floats, the same steps centered on their middle, the
+    middle, and the sum of the squared centered steps, exactly."""
+    steps = np.arange(length, dtype=np.float64)
+    middle = (length - 1) / 2.0
+    centered = steps - middle
+    steps.flags.writeable = centered.flags.writeable = False
+    return steps, centered, middle, length * (length**2 - 1) / 12
 
 
 def envelope_lines(values: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """Slopes and intercepts of the touching envelope of each row of values.
 
-    The slope is the closed-form least-squares slope on the centered index;
-    the intercept is then shifted to the lowest (support) or highest
-    (resistance) residual.
+    Reduces over the last axis, so a bare (L,) window gives scalars and an
+    (N, L) block gives (N,) columns with the same bits per row.  The slope is the
+    closed-form least-squares slope on the centered index; the intercept is then
+    shifted to the lowest (support) or highest (resistance) residual.
     """
-    length = values.shape[1]
+    length = values.shape[-1]
     if length < 2:
         raise ValueError(f"need at least 2 candles to fit a line, got {length}")
-    steps = np.arange(length, dtype=np.float64)
-    middle = (length - 1) / 2.0
-    # The sum of the squared centered steps, exactly.
-    slopes = np.add.reduce(values * (steps - middle), axis=1) / (length * (length**2 - 1) / 12)
-    intercepts = np.add.reduce(values, axis=1) / length - slopes * middle
-    residuals = values - (intercepts[:, None] + slopes[:, None] * steps)
+    steps, centered, middle, denominator = _axis(length)
+    slopes = np.add.reduce(values * centered, axis=-1) / denominator
+    intercepts = np.add.reduce(values, axis=-1) / length - slopes * middle
+    residuals = values - (intercepts[..., None] + slopes[..., None] * steps)
     shift = np.minimum if kind == SUPPORT else np.maximum
-    return slopes, intercepts + shift.reduce(residuals, axis=1)
+    return slopes, intercepts + shift.reduce(residuals, axis=-1)
 
 
 def _one_line(values: np.ndarray, kind: str) -> TrendLine:
-    slopes, intercepts = envelope_lines(values[None, :], kind)
-    return TrendLine(slope=float(slopes[0]), intercept=float(intercepts[0]), kind=kind)
+    slope, intercept = envelope_lines(values, kind)
+    return TrendLine(slope=float(slope), intercept=float(intercept), kind=kind)
 
 
 def fit_support_line(w: Window) -> TrendLine:
@@ -107,13 +106,6 @@ def resample_line(line: TrendLine, window_len: int, samples: int) -> TrendLine:
         raise ValueError("window_len and samples must be >= 1")
     step = line.slope * (window_len - 1) / (samples - 1) if samples > 1 else 0.0
     return TrendLine(slope=step, intercept=line.intercept, kind=line.kind)
-
-
-def sample_line(line: TrendLine, steps: int) -> list[float]:
-    """Evaluate the line at steps 0..steps-1."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    return [line.intercept + line.slope * k for k in range(steps)]
 
 
 def volatilities(closes: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the engine.
 
-Everything here works on plain Python values and deliberately avoids calling
-into candlegate, so a bug in the engine cannot hide in its own oracle.
+Everything here works on plain Python values (or, where NumPy's own reductions
+define the expected bits, NumPy arrays) and deliberately avoids calling into
+candlegate, so a bug in the engine cannot hide in its own oracle.
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 import math
 from datetime import date
 from typing import NamedTuple
+
+import numpy as np
 
 
 def brute_force_bottoming_tail(candles, lookback: int = 90):
@@ -202,3 +205,48 @@ def load_forecast_rows(rows, has_interval: bool):
                 return None, (line, f"origin {label}: interval must bracket the path pointwise")
         forecasts.append((ts, path, lower, upper))
     return forecasts, None
+
+
+def _fixed(x: float, decimals: int) -> str:
+    s = f"{x:.{decimals}f}"
+    if "." in s:
+        s = s.rstrip("0").rstrip(".")
+    return s
+
+
+def reference_prompt(closes, support, resistance, asset, domain, lookback, horizon, samples):
+    """The prompt prefix rendered by one f-string per call.
+
+    `closes` is the window's 1-D float64 closes; `support` and `resistance` are
+    (slope, intercept) pairs on the prompt's sampling axis, each emitted as
+    `samples` values with 2 decimals.  Statistics get 1 decimal.
+    """
+    def sequence(line):
+        slope, intercept = line
+        return "[" + " ".join(_fixed(intercept + slope * k, 2) for k in range(samples)) + "]"
+
+    low, high, mean = float(np.min(closes)), float(np.max(closes)), float(np.mean(closes))
+    lines = [
+        f"This dataset is the {asset} daily price chart.",
+        "Below is the information about the input time series:",
+        "",
+        f"[Domain]: {domain}",
+        f"[Instructions]: Predict the data for the next {horizon} steps "
+        f"given the previous {lookback} steps.",
+        "",
+        f"[Statistics]: The input has a minimum value of {_fixed(low, 1)} and "
+        f"a maximum value of {_fixed(high, 1)}, with an average value of "
+        f"{_fixed(mean, 1)}.",
+        f"Your predictions should take into account the behaviour that "
+        f"{asset} prices tend to revert when approaching these support "
+        f"and resistance levels.",
+        "",
+        f"1. Support Line: This sequence represents the lower boundary of the "
+        f"{asset} price range over the considered period. Here is the "
+        f"support line : {sequence(support)}. It is by definition a line.",
+        "",
+        f"2. Resistance Line: This sequence represents the upper boundary of "
+        f"the {asset} price range over the considered period. Here is the "
+        f"resistance line : {sequence(resistance)}. It is by definition a line.",
+    ]
+    return "\n".join(lines) + "\n"

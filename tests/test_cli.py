@@ -157,6 +157,14 @@ def test_prompt_stdout_equals_file(tmp_path, capsys):
     assert out_path.read_text(encoding="utf-8") == stdout
 
 
+
+@pytest.mark.parametrize("flag", ["--lookback", "--samples", "--horizon"])
+@pytest.mark.parametrize("data", ["demo", "missing"])
+def test_prompt_checks_its_config_before_reading_data(flag, data, tmp_path, capsys):
+    path = BACKTEST_FIXTURE if data == "demo" else tmp_path / "missing.csv"
+    assert main(["prompt", str(path), flag, "0"]) == 1
+    assert capsys.readouterr().err == "error: lookback, horizon and line_samples must be >= 1\n"
+
 def test_forecast_output_reimports(tmp_path, capsys, backtest_series):
     out_path = tmp_path / "forecast.csv"
     code = main(["forecast", str(BACKTEST_FIXTURE), "--model", "linreg", "--out", str(out_path)])
@@ -513,3 +521,41 @@ def test_outputs_are_byte_identical_to_the_golden_digests(model, tmp_path, monke
     outputs = _golden_outputs(model, tmp_path, capsys)
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
     assert digests == GOLDEN_SHA256[model]
+
+
+PROMPT_CASES = {
+    "default": [],
+    "samples_1": ["--samples", "1"],
+    "lookback_2_samples_3": ["--lookback", "2", "--samples", "3"],
+    "horizon_3": ["--horizon", "3"],
+    "config_text": ["--config", "prompt.json"],
+}
+PROMPT_CONFIG = {  # braces, a percent sign, a newline and non-ASCII text
+    "asset": "Bit{coin}% Ω\n{0}",
+    "domain": "Prices in {asset} rose 5% {}\n%s %(x)d — Ünïcödé 比特币",
+}
+
+
+def _prompt_output(case: str, workdir: Path, capsys) -> bytes:
+    (workdir / "prompt.json").write_text(json.dumps(PROMPT_CONFIG), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["prompt", str(BACKTEST_FIXTURE), *PROMPT_CASES[case], "--out", "prompt.txt"]) == 0
+    data = (workdir / "prompt.txt").read_bytes()
+    assert capsys.readouterr().out == data.decode("utf-8")
+    return data
+
+
+PROMPT_SHA256 = {  # computed while the prompt was rendered by one f-string per call
+    'config_text': 'e86abf514d5e6fc16b490ecd527416ddffd569a2595d00d3e16706310ddac3e6',
+    'default': '074ef918e20092843c820bed4bf5ac29ca213c9318385bba6e742418fbe394c3',
+    'horizon_3': '902ef5b13fdc03d66554cc36b1e8fd6d6f9eea7070a1f97c1c040b173bfc0139',
+    'lookback_2_samples_3': '1d583c1209625b7869f57c201b712c40a157e6dbb389e531ad3839078eb982b6',
+    'samples_1': '724df7703b918fb6e90f13aa3dac097b1785a42d7ba8c9d410747339b2abcf65',
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROMPT_CASES))
+def test_prompt_is_byte_identical_to_the_golden_digest(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    data = _prompt_output(case, tmp_path, capsys)
+    assert hashlib.sha256(data).hexdigest() == PROMPT_SHA256[case]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,11 @@ from candlegate.indicators import (
     fit_resistance_line,
     fit_support_line,
     resample_line,
-    sample_line,
     volatilities,
-    window_stats,
     TrendLine,
 )
 from candlegate.market_data import Series
+from candlegate.prompt_prefix import BITCOIN_DOMAIN, PromptConfig, build_prompt
 
 from conftest import Candle, candle_rows, make_series, make_window
 from oracles import candle_geometry, least_squares_line, percentile_rank
@@ -25,23 +26,39 @@ def _series_from_closes(closes, lows=None, highs=None):
     return Series.from_rows("X", rows, "epoch")
 
 
+FLAT = TrendLine(slope=0.0, intercept=7.0, kind="support")
+
+
+def _prompt(w, support=FLAT, resistance=FLAT, samples=6) -> str:
+    cfg = PromptConfig("Bitcoin", BITCOIN_DOMAIN, lookback=len(w), horizon=7, line_samples=samples)
+    return build_prompt(w, support, resistance, cfg)
+
+
+def _statistics(w) -> str:
+    return re.search(r"minimum value of .*?\.\n", _prompt(w)).group(0)
+
+
+def _sequences(text: str) -> tuple[list[float], list[float]]:
+    """The support and resistance values a prompt prints."""
+    support, resistance = re.findall(r"line : \[([^\]]*)\]", text)
+    return [float(v) for v in support.split()], [float(v) for v in resistance.split()]
+
+
 def test_window_stats_basic():
     s = _series_from_closes([1.0, 2.0, 3.0], lows=[0.5] * 3, highs=[3.5] * 3)
-    stats = window_stats(s.window(0, 3))
-    assert (stats.min, stats.max, stats.mean) == (1.0, 3.0, 2.0)
+    stats = _statistics(s.window(0, 3))
+    assert stats == "minimum value of 1 and a maximum value of 3, with an average value of 2.\n"
 
 
 def test_window_stats_single_candle():
     s = _series_from_closes([5.0])
-    stats = window_stats(s.window(0, 1))
-    assert stats.min == stats.max == stats.mean == 5.0
+    stats = _statistics(s.window(0, 1))
+    assert stats == "minimum value of 5 and a maximum value of 5, with an average value of 5.\n"
 
 
 def test_window_stats_btc_demo(btc_series):
-    stats = window_stats(btc_series.window(0, len(btc_series)))
-    assert stats.min == pytest.approx(26511.2, abs=1e-9)
-    assert stats.max == pytest.approx(49011.4, abs=1e-9)
-    assert stats.mean == pytest.approx(39621.6, abs=0.05)
+    stats = _statistics(btc_series.window(0, len(btc_series)))
+    assert stats == "minimum value of 26511.2 and a maximum value of 49011.4, with an average value of 39621.6.\n"
 
 
 def test_support_line_exact_fit():
@@ -98,43 +115,52 @@ def test_fit_slope_matches_normal_equations():
         assert line.slope == pytest.approx(slope, rel=1e-9, abs=1e-12)
 
 
-def test_sample_line_demo_sequences():
+def test_sample_line_demo_sequences(btc_series):
+    w = btc_series.window(0, len(btc_series))
     support = TrendLine(slope=2373.775, intercept=26511.03, kind="support")
-    got = sample_line(support, 6)
-    expected = [26511.03, 28884.81, 31258.58, 33632.36, 36006.13, 38379.90]
-    assert got == pytest.approx(expected, abs=0.01)
-
     resistance = TrendLine(slope=2373.775, intercept=38130.86, kind="resistance")
-    got = sample_line(resistance, 6)
-    expected = [38130.86, 40504.64, 42878.41, 45252.18, 47625.96, 49999.73]
-    assert got == pytest.approx(expected, abs=0.01)
+    text = _prompt(w, support, resistance)
+    assert "support line : [26511.03 28884.81 31258.58 33632.35 36006.13 38379.9]." in text
+    assert "resistance line : [38130.86 40504.64 42878.41 45252.18 47625.96 49999.74]." in text
+    # Each printed value is the line at its step, rounded to the cent.
+    got_support, got_resistance = _sequences(text)
+    steps = np.arange(6)
+    assert got_support == pytest.approx(26511.03 + 2373.775 * steps, abs=0.005 + 1e-9)
+    assert got_resistance == pytest.approx(38130.86 + 2373.775 * steps, abs=0.005 + 1e-9)
 
 
 def test_sample_line_flat():
-    line = TrendLine(slope=0.0, intercept=7.0, kind="support")
-    assert sample_line(line, 3) == [7.0, 7.0, 7.0]
+    text = _prompt(make_window(np.random.default_rng(0), 5), samples=3)
+    assert _sequences(text) == ([7.0, 7.0, 7.0], [7.0, 7.0, 7.0])
+    assert "support line : [7 7 7]." in text
 
 
 def test_sample_line_is_arithmetic_progression():
     rng = np.random.default_rng(4)
+    w = make_window(rng, 10)
     for _ in range(50):
         line = TrendLine(slope=float(rng.normal()), intercept=float(rng.normal(100)), kind="support")
-        vals = sample_line(line, 10)
-        diffs = np.diff(vals)
-        assert np.allclose(diffs, diffs[0], atol=1e-9)
+        vals, _ = _sequences(_prompt(w, line, samples=10))
+        assert len(vals) == 10
+        # Each printed value is within 0.005 of intercept + slope * k.
+        assert np.allclose(vals, line.intercept + line.slope * np.arange(10), rtol=0, atol=0.005 + 1e-9)
+        assert np.allclose(np.diff(vals), line.slope, rtol=0, atol=0.01 + 1e-9)
 
 
 def test_sample_line_rejects_zero_steps():
+    with pytest.raises(ValueError, match="line_samples must be >= 1"):
+        PromptConfig("Bitcoin", BITCOIN_DOMAIN, lookback=110, horizon=7, line_samples=0)
     with pytest.raises(ValueError):
-        sample_line(TrendLine(1.0, 0.0, "support"), 0)
+        resample_line(TrendLine(1.0, 0.0, "support"), window_len=110, samples=0)
 
 
 def test_resample_line_preserves_endpoints():
     line = TrendLine(slope=1.5, intercept=20.0, kind="support")
     resampled = resample_line(line, window_len=110, samples=6)
-    vals = sample_line(resampled, 6)
-    assert vals[0] == pytest.approx(line.intercept, abs=1e-9)
-    assert vals[-1] == pytest.approx(line.intercept + line.slope * 109, abs=1e-9)
+    assert resampled.intercept == pytest.approx(line.intercept, abs=1e-9)
+    assert resampled.intercept + resampled.slope * 5 == pytest.approx(line.intercept + line.slope * 109, abs=1e-9)
+    vals, _ = _sequences(_prompt(make_window(np.random.default_rng(1), 110), resampled))
+    assert (vals[0], vals[-1]) == (20.0, 183.5)
 
 
 def test_percentile_rank_cases():

@@ -91,6 +91,25 @@ def test_envelopes_match_least_squares_oracle_and_touch(case):
             assert abs(gap.min()) <= 1e-9 * scale  # on or above (below) the line, and touching
 
 
+def test_one_row_envelope_equals_its_row_of_the_block_call():
+    """A bare (L,) row gives the bits of that row of an (N, L) call, at every length
+    the prompt and the gate use and at rows on both sides of a block boundary."""
+    rng = np.random.default_rng(11)
+    for length in range(2, 258):
+        block = rng.normal(100.0, 10.0, size=(BLOCK + 2, length)) * rng.uniform(0.01, 100.0)
+        for kind in (SUPPORT, RESISTANCE):
+            slopes, intercepts = envelope_lines(block, kind)
+            for row in (BLOCK - 1, BLOCK, BLOCK + 1):
+                slope, intercept = envelope_lines(block[row], kind)
+                assert np.shape(slope) == np.shape(intercept) == ()
+                one = np.array([slope, intercept]).tobytes()
+                assert one == np.array([slopes[row], intercepts[row]]).tobytes(), (length, kind, row)
+        for constant in indicators._axis(length)[:2]:
+            assert not constant.flags.writeable
+            with pytest.raises(ValueError):
+                constant[0] = 1.0
+
+
 @st.composite
 def tie_heavy_series(draw):
     """Candles on a small integer grid: many equal ranges and volumes, and dojis."""

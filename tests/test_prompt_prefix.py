@@ -1,12 +1,18 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from candlegate.indicators import TrendLine
+from candlegate.indicators import TrendLine, fit_resistance_line, fit_support_line, resample_line
 from candlegate.prompt_prefix import (
     BITCOIN_DOMAIN,
     PromptConfig,
     build_prompt,
     format_number,
 )
+
+from conftest import make_series
+from oracles import reference_prompt
 
 # Trend-line parameters of the bundled Bitcoin demo window, on the 6-sample
 # axis.  Sampling and rounding them must reproduce the golden sequences.
@@ -102,3 +108,43 @@ def test_config_validation():
         _demo_config(horizon=0)
     with pytest.raises(ValueError):
         _demo_config(line_samples=0)
+
+
+TEXT = st.text("{}%()\n 05.sxd BitcoinΩ比特币\t\\", max_size=24)  # format and %-format syntax
+
+
+@st.composite
+def prompt_cases(draw):
+    """A random window, a config, and lines fitted to the window or drawn freely."""
+    lookback = draw(st.integers(1, 257))
+    samples = draw(st.integers(1, 12))
+    start_price = draw(st.sampled_from([0.013, 1.0, 100.0, 39621.6, 2.5e6]))
+    offset = draw(st.integers(0, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = make_series(rng, lookback + offset, start_price).window(offset, offset + lookback)
+    if lookback >= 2 and draw(st.booleans()):
+        support = resample_line(fit_support_line(w), lookback, samples)
+        resistance = resample_line(fit_resistance_line(w), lookback, samples)
+    else:
+        line = st.tuples(st.floats(-1e4, 1e4), st.floats(-1e6, 1e6))
+        (s_slope, s_icpt), (r_slope, r_icpt) = draw(line), draw(line)
+        support = TrendLine(slope=s_slope, intercept=s_icpt, kind="support")
+        resistance = TrendLine(slope=r_slope, intercept=r_icpt, kind="resistance")
+    cfg = PromptConfig(
+        asset=draw(TEXT), domain=draw(TEXT), lookback=lookback,
+        horizon=draw(st.integers(1, 30)), line_samples=samples,
+    )
+    return w, support, resistance, cfg
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(prompt_cases())
+def test_build_prompt_matches_the_reference_renderer(case):
+    w, support, resistance, cfg = case
+    expected = reference_prompt(
+        w.closes.copy(), (support.slope, support.intercept), (resistance.slope, resistance.intercept),
+        cfg.asset, cfg.domain, cfg.lookback, cfg.horizon, cfg.line_samples,
+    )
+    assert build_prompt(w, support, resistance, cfg) == expected
+    assert build_prompt(w, support, resistance, cfg) == expected  # from the rendered segments
+
