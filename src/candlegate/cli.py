@@ -18,7 +18,7 @@ import numpy as np
 
 from .evaluation import (
     EvalConfig,
-    emit_forecast_trace,
+    forecast_trace_chunks,
     parse_report_csv,
     parse_report_json,
     report,
@@ -113,9 +113,14 @@ def _resolve_forecaster(name: str, coverage: float, series: Series, horizon: int
     raise ValueError(f"unknown forecaster {name!r} (naive|drift|linreg|external:PATH)")
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_chunks(path: str, chunks) -> None:
+    """Write an iterable of text chunks, each as soon as it is made."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
+
+
+def _write_text(path: str, text: str) -> None:
+    _write_chunks(path, (text,))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -205,7 +210,7 @@ def cmd_backtest(args) -> int:
     if args.report_out:
         _write_text(args.report_out, report(rows, cfg["format"]))
     if args.trace_out:
-        _write_text(args.trace_out, emit_forecast_trace(table, series))
+        _write_chunks(args.trace_out, forecast_trace_chunks(table, series))
     return 0
 
 

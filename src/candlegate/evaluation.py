@@ -330,22 +330,34 @@ def parse_report_json(text: str | bytes) -> list[MetricsRow]:
     return out
 
 
+def forecast_trace_chunks(table: EvalTable, series: Series):
+    """The trace CSV text in pieces: the header line, then the rows of each block of
+    origins, so a writer holds one block's text at a time."""
+    yield TRACE_CSV_HEADER + "\n"
+    forecasts, fmt, executed = table.forecasts, series.timestamp_format, table.executed
+    for span in blocks(range(len(table))):
+        rows = slice(span.start, span.stop)
+        block = table.origins[rows]
+        origins, timestamps = block.tolist(), series.timestamps[block].tolist()
+        # Each realized close the block reads is formatted once: actual[i] is close base + 1 + i.
+        base = min(origins)
+        actual = list(map(repr, series.closes[base + 1 : max(origins) + forecasts.horizon + 1].tolist()))
+        paths = forecasts.paths[rows].tolist()
+        if forecasts.lower is None:
+            lowers = uppers = [None] * len(paths)
+        else:
+            lowers, uppers = forecasts.lower[rows].tolist(), forecasts.upper[rows].tolist()
+        lines = []
+        for origin, ts, path, lower, upper, flag in zip(
+            origins, timestamps, paths, lowers, uppers, executed[rows].tolist()
+        ):
+            ts, flag = format_timestamp(ts, fmt), "true" if flag else "false"
+            for k, predicted in enumerate(path):
+                interval = "," if lower is None else f"{lower[k]!r},{upper[k]!r}"
+                lines.append(f"{ts},{k + 1},{predicted!r},{interval},{actual[origin - base + k]},{flag}\n")
+        yield "".join(lines)
+
+
 def emit_forecast_trace(table: EvalTable, series: Series) -> str:
     """Long-format, plot-ready CSV: one row per origin per forecast step."""
-    lines = [TRACE_CSV_HEADER]
-    forecasts, origins, timestamps = table.forecasts, table.origins.tolist(), series.timestamps.tolist()
-    # Each realized close the trace reads is formatted once: actual[i] is close base + 1 + i.
-    base, end = min(origins, default=0), max(origins, default=0) + forecasts.horizon
-    actual = list(map(repr, series.closes[base + 1 : end + 1].tolist()))
-    paths = forecasts.paths.tolist()
-    if forecasts.lower is None:
-        lowers = uppers = [None] * len(paths)
-    else:
-        lowers, uppers = forecasts.lower.tolist(), forecasts.upper.tolist()
-    for origin, path, lower, upper, executed in zip(origins, paths, lowers, uppers, table.executed.tolist()):
-        ts = format_timestamp(timestamps[origin], series.timestamp_format)
-        flag = "true" if executed else "false"
-        for k, predicted in enumerate(path):
-            interval = "," if lower is None else f"{lower[k]!r},{upper[k]!r}"
-            lines.append(f"{ts},{k + 1},{predicted!r},{interval},{actual[origin - base + k]},{flag}")
-    return "\n".join(lines) + "\n"
+    return "".join(forecast_trace_chunks(table, series))

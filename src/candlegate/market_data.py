@@ -32,8 +32,10 @@ _ISO_DAYS = re.compile(f"(?:{_ISO_DAY.pattern}\n)*")
 _FIRST_DAY = np.datetime64("0001-01-01")
 _BLANK = re.compile(r"\ufeff*\s*")
 
-# Rows per block: bounds the arrays a kernel or the CSV reader holds at once.
-BLOCK = 1024
+# Rows per block: bounds the arrays a kernel or the CSV reader holds at once.  At 256
+# a (BLOCK, 110) float64 temporary is 225 KB, which fits in L2 and is reused by the
+# allocator; at 1024 (~900 KB) its pages were returned and faulted in again per block.
+BLOCK = 256
 
 
 class ParseError(ValueError):

@@ -1,15 +1,24 @@
 import hashlib
 import json
+import random
+import tracemalloc
+from datetime import date, timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from candlegate import cli
 from candlegate.cli import main
-from candlegate.forecaster import load_external_forecasts
-from candlegate.market_data import format_timestamp, parse_csv
+from candlegate.evaluation import (
+    EvalConfig, emit_forecast_trace, forecast_trace_chunks, train_gate_on_series, walk_forward,
+)
+from candlegate.forecaster import Forecast, drift_forecast, load_external_forecasts, save_external_forecasts
+from candlegate.market_data import BLOCK, CSV_HEADER, Series, format_timestamp, parse_csv, serialize_csv
 from candlegate.reliability_gate import model_from_json
+from candlegate.rule_engine import bottoming_tail_rule
 
-from conftest import BACKTEST_FIXTURE, BTC_FIXTURE, PLANTED_FIXTURE
+from conftest import BACKTEST_FIXTURE, BTC_FIXTURE, PLANTED_FIXTURE, candle_rows, make_series
 
 STATS_SENTENCE = (
     "[Statistics]: The input has a minimum value of 26511.2 and a maximum "
@@ -521,6 +530,153 @@ def test_outputs_are_byte_identical_to_the_golden_digests(model, tmp_path, monke
     outputs = _golden_outputs(model, tmp_path, capsys)
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
     assert digests == GOLDEN_SHA256[model]
+
+
+MULTI_BLOCK_CANDLES = 3200
+MULTI_BLOCK_ARGS = ["--lookback", "110", "--horizon", "7", "--train-fraction", "0.5"]
+MULTI_BLOCK_MODELS = {"drift": "drift", "external": "external:ext.csv"}
+
+
+def _multi_block_csv(n: int = MULTI_BLOCK_CANDLES, seed: int = 13) -> str:
+    """A market file of n daily candles whose 3,084 origins split into 1,536 training
+    and 1,542 evaluation origins: two kernel blocks each at BLOCK 1024, six or seven
+    at 256.
+
+    Prices are whole cents from ``random.Random``, whose ``random()`` stream is fixed
+    across Python versions, so the file and every digest below are too."""
+    rng = random.Random(seed)
+    day = date(2015, 1, 1)
+    lines, close = [CSV_HEADER], 2_000_000
+    for i in range(n):
+        open_ = close
+        close = max(100, close + close * (int(rng.random() * 401) - 200) // 10_000)
+        high = max(open_, close) + int(rng.random() * close) // 100
+        low = max(1, min(open_, close) - int(rng.random() * close) // 50)
+        cents = (open_, high, low, close)
+        prices = ",".join(f"{c // 100}.{c % 100:02d}" for c in cents)
+        lines.append(f"{(day + timedelta(days=i)).isoformat()},{prices},{1 + int(rng.random() * 5000)}")
+    return "\n".join(lines) + "\n"
+
+
+def _multi_block_forecast_csv(series, horizon: int = 7) -> str:
+    """Forecasts with intervals for every origin of the multi-block file."""
+    lines = ["origin_timestamp,step,predicted_close,lower,upper"]
+    closes = series.closes.tolist()
+    for t in range(109, len(series)):
+        label = format_timestamp(int(series.timestamps[t]), series.timestamp_format)
+        sign = 1.0 if t % 3 else -1.0
+        for k in range(1, horizon + 1):
+            p = closes[t] * (1.0 + sign * 0.002 * k)
+            lines.append(f"{label},{k},{p!r},{p - 0.5 * k!r},{p + 0.5 * k!r}")
+    return "\n".join(lines) + "\n"
+
+
+def _multi_block_outputs(model: str, workdir: Path, capsys) -> dict[str, bytes]:
+    """The stdout, CSV report and trace of a backtest and the JSON of a train-gate run
+    on the multi-block file."""
+    text = _multi_block_csv()
+    (workdir / "market.csv").write_text(text, encoding="utf-8")
+    (workdir / "ext.csv").write_text(_multi_block_forecast_csv(parse_csv(text)), encoding="utf-8")
+    flags = [*MULTI_BLOCK_ARGS, "--model", MULTI_BLOCK_MODELS[model]]
+    capsys.readouterr()
+    assert main(["backtest", "market.csv", *flags, "--format", "csv", "--report-out", "report.csv",
+                 "--trace-out", "trace.csv"]) == 0
+    outputs = {"backtest_stdout": capsys.readouterr().out.encode()}
+    assert main(["train-gate", "market.csv", *flags, "--out", "gate.json"]) == 0
+    capsys.readouterr()
+    for name in ("report.csv", "trace.csv", "gate.json"):
+        outputs[name] = (workdir / name).read_bytes()
+    return outputs
+
+
+MULTI_BLOCK_SHA256 = {  # computed with BLOCK = 1024, before the trace was written block by block
+    "drift": {
+        "backtest_stdout": "e988935c7cc360ed1b6718d76fd6950a092880fb9b759eb36c7d06805a52b9b0",
+        "report.csv": "1dbfd4db12e07cf0c5cafa19432db1fa9efc8fd1b69dd115077cf968ecbd8bc3",
+        "trace.csv": "e05f88400506a6e079527933ac07de4e32f2f844b37ec4e72f4378a73bff2e7f",
+        "gate.json": "007f9c44e28ee31b635d09c3255699efb4eb929f64e5e49120ca328a3f869f4b",
+    },
+    "external": {
+        "backtest_stdout": "21bba80c049473069f904f840a5b5f88386f192002b25b9d7ee1dc132db2f08e",
+        "report.csv": "f8946e57af84e5d836fbb66d5dd2cd19e58c17155f10ca0ecf12266849a0c6c7",
+        "trace.csv": "36b5bff02389acd3ac52a35db9d537d0e5a06df42fe6690860860db278cb4022",
+        "gate.json": "4fc18e96bc08becfac71c1468eb62d2b10495441605d1676f6e71d42b37e1d2f",
+    },
+}
+
+
+@pytest.mark.parametrize("model", sorted(MULTI_BLOCK_SHA256))
+def test_multi_block_outputs_are_byte_identical_to_the_golden_digests(model, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    outputs = _multi_block_outputs(model, tmp_path, capsys)
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+    assert digests == MULTI_BLOCK_SHA256[model]
+
+
+def _daily_series(n: int, flavour: str, seed: int) -> Series:
+    """A random valid series of n candles one day apart, labelled in the given flavour."""
+    rows = candle_rows(make_series(np.random.default_rng(seed), n))
+    return Series.from_rows("S", [(86_400 * (19_000 + i), *row[1:]) for i, row in enumerate(rows)], flavour)
+
+
+@pytest.mark.parametrize("rows", [BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("flavour", ["iso", "epoch"])
+@pytest.mark.parametrize("interval", [True, False])
+def test_streamed_trace_equals_the_whole_trace(rows, flavour, interval, tmp_path, monkeypatch, capsys):
+    """The file backtest writes block by block holds the bytes of emit_forecast_trace."""
+    monkeypatch.chdir(tmp_path)
+    lookback, horizon = 90, 3
+    series = _daily_series(rows + lookback - 1 + horizon, flavour, seed=rows)
+    Path("market.csv").write_text(serialize_csv(series), encoding="utf-8")
+    model = "drift"
+    if not interval:
+        items = [
+            (int(series.timestamps[o]), Forecast(o, drift_forecast(series.window(o + 1 - lookback, o + 1), horizon).path))
+            for o in range(lookback - 1, len(series))
+        ]
+        Path("ext.csv").write_text(save_external_forecasts(items, flavour), encoding="utf-8")
+        model = "external:ext.csv"
+    flags = ["--lookback", str(lookback), "--horizon", str(horizon), "--model", model]
+    assert main(["train-gate", "market.csv", *flags, "--out", "gate.json"]) == 0
+    calls, walk = [], cli.walk_forward
+    monkeypatch.setattr(cli, "walk_forward", lambda *args: calls.append((args[0], walk(*args))) or calls[-1][1])
+    assert main(["backtest", "market.csv", *flags, "--gate-model", "gate.json", "--train-fraction", "0",
+                 "--trace-out", "trace.csv"]) == 0
+    [(parsed, table)] = calls
+    assert len(table) == rows and (table.forecasts.lower is None) != interval
+    assert {"true", "false"} <= {line.rsplit(",", 1)[1] for line in Path("trace.csv").read_text().splitlines()[1:]}
+    assert Path("trace.csv").read_bytes() == emit_forecast_trace(table, parsed).encode("utf-8")
+
+
+def _traced_peak(write) -> int:
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trace_writer_memory_is_bounded_by_the_block(tmp_path):
+    """Writing the trace of 16 blocks of origins peaks at most 1.5x as high as writing
+    that of 4 blocks, while emit_forecast_trace, which holds the whole text, grows
+    with the table."""
+    lookback, horizon, rules = 90, 3, [bottoming_tail_rule()]
+    cfg, cases = EvalConfig(lookback, horizon, train_fraction=0.0), {}
+    for blocks in (4, 16):
+        series = _daily_series(blocks * BLOCK + lookback - 1 + horizon, "iso", seed=blocks)
+        gate = train_gate_on_series(series, drift_forecast, rules, EvalConfig(lookback, horizon))
+        table = walk_forward(series, drift_forecast, gate, rules, cfg)
+        assert len(table) == blocks * BLOCK
+        path = tmp_path / f"trace_{blocks}.csv"
+        cli._write_chunks(path, forecast_trace_chunks(table, series))  # warm-up
+        streamed = _traced_peak(lambda: cli._write_chunks(path, forecast_trace_chunks(table, series)))
+        whole = _traced_peak(lambda: emit_forecast_trace(table, series))
+        cases[blocks] = streamed, whole, path.stat().st_size
+    (streamed_4, whole_4, size_4), (streamed_16, whole_16, size_16) = cases[4], cases[16]
+    assert size_16 > 3.9 * size_4
+    assert streamed_16 < 1.5 * streamed_4, (streamed_4, streamed_16)
+    assert whole_16 > 3.5 * whole_4, (whole_4, whole_16)
 
 
 PROMPT_CASES = {

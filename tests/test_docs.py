@@ -1,9 +1,10 @@
-"""The README's code examples run as written."""
+"""The README's code examples run as written, and its figures name the code's constants."""
 
 import re
 from pathlib import Path
 
 from candlegate.forecaster import Forecasts
+from candlegate.market_data import BLOCK
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -30,3 +31,8 @@ def test_library_use_example_runs_on_the_block_path(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.startswith("Models") and "drift+gate" in out
     assert stacked == []
+
+
+def test_readme_names_the_current_block_size():
+    stated = re.findall(r"`(?:indicators\.)?BLOCK` \((\d+)\)", README.read_text(encoding="utf-8"))
+    assert len(stated) >= 2 and set(stated) == {str(BLOCK)}, stated

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from candlegate import indicators
 from candlegate.evaluation import (
     EvalConfig,
     EvalTable,
@@ -438,3 +439,32 @@ def test_embargo_training_never_reads_the_evaluation_segment(lookback, horizon, 
     rules = [bottoming_tail_rule(min(lookback, 90))]
     gate = train_gate_on_series(series, drift_forecast, rules, cfg)
     assert train_gate_on_series(spliced, drift_forecast, rules, cfg) == gate
+
+
+def _table_bytes(table: EvalTable) -> list[bytes]:
+    """Every column of a decision table, rule columns included, as bytes."""
+    forecasts = table.forecasts
+    columns = [table.origins, table.predicted_up, table.realized_up, table.scores, table.rules_ok,
+               forecasts.origins, forecasts.paths, forecasts.lower, forecasts.upper]
+    columns += [column for rule in table.rule_columns for triple in rule for column in triple]
+    return [column.tobytes() for column in columns]
+
+
+@pytest.mark.parametrize("block", [3, 256, 1024])
+def test_gate_and_table_do_not_depend_on_the_block_size(block, monkeypatch):
+    """2,600 candles give 1,284 training and 1,287 evaluation origins: two or more
+    blocks at every size tried, against one block holding every origin."""
+    series = make_series(np.random.default_rng(41), 2600)
+    rules = [bottoming_tail_rule(20)]
+    cfg = EvalConfig(lookback=25, horizon=3, train_fraction=0.5)
+
+    def run():
+        gate = train_gate_on_series(series, drift_forecast, rules, cfg)
+        table = walk_forward(series, drift_forecast, gate, rules, cfg)
+        assert 0 < np.count_nonzero(table.executed) < len(table)
+        return gate, _table_bytes(table), emit_forecast_trace(table, series)
+
+    monkeypatch.setattr(indicators, "BLOCK", len(series))
+    one_block = run()
+    monkeypatch.setattr(indicators, "BLOCK", block)
+    assert run() == one_block

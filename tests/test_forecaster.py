@@ -495,9 +495,9 @@ def test_load_external_names_the_first_fault_near_a_block_boundary(faults):
 
 
 @pytest.mark.parametrize("label, expected", TIMESTAMP_LABELS.items(), ids=ascii)
-@pytest.mark.parametrize("preceding", [0, BLOCK])
+@pytest.mark.parametrize("preceding", [0, 4 * BLOCK])
 def test_load_external_reads_pinned_timestamp_labels(label, expected, preceding):
-    """The label on the first data row, or on the first row of the second block."""
+    """The label on the first data row, or on the first row of the fifth block."""
     rows = [[str(day), "1", "100.0"] for day in range(preceding)]
     text = EXTERNAL_HEADER_BASE + "\n" + "".join(",".join(cells) + "\n" for cells in rows)
     text += f"{label},1,100.0\n"
@@ -509,7 +509,7 @@ def test_load_external_reads_pinned_timestamp_labels(label, expected, preceding)
     assert load_external_forecasts(text.encode())[-1][0] == expected[0]
 
 
-@pytest.mark.parametrize("preceding", [1, BLOCK])
+@pytest.mark.parametrize("preceding", [1, 4 * BLOCK])
 def test_load_external_mixes_timestamp_flavours(preceding):
     days = range(2 * preceding)
     for flavours in (("iso", "epoch"), ("epoch", "iso")):
@@ -522,7 +522,7 @@ def test_load_external_mixes_timestamp_flavours(preceding):
 def test_external_forecaster_columns_match_the_loaded_forecasts(with_interval):
     rng = np.random.default_rng(31)
     series = make_series(rng, 2 * BLOCK)
-    origins = rng.permutation(np.arange(10, 2 * BLOCK))[:700]
+    origins = rng.permutation(np.arange(10, 2 * BLOCK))[:BLOCK]
     items = [(int(series.timestamps[o]), drift_forecast(series.window(o - 9, o + 1), 4)) for o in origins]
     if not with_interval:
         items = [(ts, Forecast(f.origin_index, f.path)) for ts, f in items]

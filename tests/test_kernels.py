@@ -138,6 +138,10 @@ def test_verdicts_match_brute_force_oracle(series, lookback, data):
     assert evaluate_rule(rule, series.window(end - lookback, end)) == verdicts[end - lookback]
 
 
+# One short of, at and one past four whole blocks: every size spans several blocks.
+BOUNDARY_SIZES = [4 * BLOCK - 1, 4 * BLOCK, 4 * BLOCK + 1]
+
+
 def _assert_rows_match_one_origin(series, ends, length, gate, rule):
     """Every kernel's row i equals the one-origin function at window ends[i], bit for bit."""
     index = window_index(ends, length)
@@ -173,7 +177,7 @@ def test_one_origin_calls_equal_their_batch_rows(case):
         _assert_rows_match_one_origin(series, ends, length, _gate(8), bottoming_tail_rule(min(length, 5)))
 
 
-@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("n", BOUNDARY_SIZES)
 def test_one_origin_calls_equal_their_rows_at_block_boundaries(n):
     length = 30
     series = make_series(np.random.default_rng(n), length + n)
@@ -181,7 +185,7 @@ def test_one_origin_calls_equal_their_rows_at_block_boundaries(n):
     _assert_rows_match_one_origin(series, ends, length, _gate(8, seed=n), bottoming_tail_rule(20))
 
 
-@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("n", BOUNDARY_SIZES)
 def test_walk_forward_decides_like_one_origin_calls_across_blocks(n):
     lookback, horizon = 25, 3
     series = make_series(np.random.default_rng(100 + n), lookback - 1 + n + horizon)
@@ -191,7 +195,7 @@ def test_walk_forward_decides_like_one_origin_calls_across_blocks(n):
                      required_rules=(rule.name,))
     records = walk_forward(series, drift_forecast, gate, [rule], cfg)
     assert len(records) == n
-    for r in (records[i] for i in sorted({0, BLOCK - 1, BLOCK, n - 1} & set(range(n)))):
+    for r in (records[i] for i in sorted({0, BLOCK - 1, BLOCK, n - 2, n - 1})):
         w = series.window(r.origin_index - lookback + 1, r.origin_index + 1)
         forecast = drift_forecast(w, horizon)
         verdicts = [evaluate_rule(rule, w)]
@@ -379,12 +383,12 @@ def test_one_window_forecasts_equal_their_batch_rows(case, horizon, coverage):
     _assert_forecast_rows_match_one_window(series, ends - 1, length, horizon, coverage, range(len(ends)))
 
 
-@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("n", BOUNDARY_SIZES)
 @pytest.mark.parametrize("lookback", [2, 40])
 def test_one_window_forecasts_equal_their_rows_at_block_boundaries(n, lookback):
     series = make_series(np.random.default_rng(n + lookback), lookback - 1 + n)
     origins = np.arange(lookback - 1, lookback - 1 + n)
-    rows = sorted({0, BLOCK - 1, BLOCK, BLOCK + 1, n - 1} & set(range(n)))
+    rows = sorted({0, BLOCK - 1, BLOCK, BLOCK + 1, n - 2, n - 1})
     _assert_forecast_rows_match_one_window(series, origins, lookback, 5, 0.9, rows)
 
 

@@ -334,9 +334,9 @@ TIMESTAMP_LABELS = {
 
 
 @pytest.mark.parametrize("label, expected", TIMESTAMP_LABELS.items(), ids=ascii)
-@pytest.mark.parametrize("preceding", [0, BLOCK])
+@pytest.mark.parametrize("preceding", [0, 4 * BLOCK])
 def test_parse_reads_pinned_timestamp_labels(label, expected, preceding):
-    """The label on the first data row, or on the first row of the second block."""
+    """The label on the first data row, or on the first row of the fifth block."""
     flavour, end = expected[::-1] if isinstance(expected, tuple) else ("iso", None)
     text = _csv_text(flavour, _valid_rows(preceding, flavour, end)) + f"{label},100,101,99,100,1\n"
     if isinstance(expected, str):
@@ -348,7 +348,7 @@ def test_parse_reads_pinned_timestamp_labels(label, expected, preceding):
     assert (series.timestamps[-1], series.timestamp_format) == expected
 
 
-@pytest.mark.parametrize("preceding", [1, BLOCK])
+@pytest.mark.parametrize("preceding", [1, 4 * BLOCK])
 @pytest.mark.parametrize("first, then", [("iso", "epoch"), ("epoch", "iso")])
 def test_parse_rejects_a_flavour_change_after_a_block_boundary(first, then, preceding):
     text = _csv_text(first, _valid_rows(preceding, first))
