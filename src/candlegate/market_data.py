@@ -124,15 +124,6 @@ class Series:
         if violation is not None:
             raise ValidationError(violation[1], index=violation[0])
 
-    @classmethod
-    def from_rows(cls, symbol: str, rows, timestamp_format: str = TS_ISO) -> "Series":
-        """Series from (timestamp, open, high, low, close, volume) rows."""
-        columns = [array("q"), *(array("d") for _ in range(5))]
-        for ts, o, h, l, c, v in rows:
-            for column, value in zip(columns, (ts, o, h, l, c, v)):
-                column.append(value)
-        return cls(symbol, *columns, timestamp_format)
-
     @property
     def columns(self) -> tuple[np.ndarray, ...]:
         return tuple(getattr(self, name) for name in _COLUMNS)

@@ -121,13 +121,16 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
+def _logits_and_gradient(weights: np.ndarray, X: np.ndarray, y: np.ndarray):
+    z = X @ weights  # the logits, then the mean log-loss gradient for labels y in {0,1}
+    return z, X.T @ (_sigmoid(z) - y) / len(y)
+
+
 def log_loss_and_gradient(weights: np.ndarray, X: np.ndarray, y: np.ndarray):
     """Mean logistic log-loss and its gradient for label vector y in {0,1}."""
-    z = X @ weights
+    z, grad = _logits_and_gradient(weights, X, y)
     # softplus(z) - y*z, with softplus computed without overflow
-    loss = float(np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - y * z))
-    grad = X.T @ (_sigmoid(z) - y) / len(y)
-    return loss, grad
+    return float(np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - y * z)), grad
 
 
 def _standardize(X: np.ndarray):
@@ -157,11 +160,13 @@ def train(X, y, threshold: float = 0.5, names: tuple[str, ...] | None = None) ->
 
     X_std, means, stds = _standardize(X)
     weights = np.zeros(X.shape[1])
-    for epoch in range(EPOCHS):
-        loss, grad = log_loss_and_gradient(weights, X_std, y)
-        if not np.isfinite(loss):
-            raise TrainingError(f"non-finite loss at epoch {epoch}")
-        weights -= LEARNING_RATE * grad
+    # The loss is finite exactly when the logits are; an overflow is a TrainingError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(EPOCHS):
+            z, grad = _logits_and_gradient(weights, X_std, y)
+            if not np.isfinite(z).all():
+                raise TrainingError(f"non-finite logits at epoch {epoch}")
+            weights -= LEARNING_RATE * grad
 
     if names is None:
         names = tuple(f"f{i}" for i in range(X.shape[1]))
@@ -191,7 +196,7 @@ def score(model: GateModel, x: np.ndarray) -> float:
     return float(scores(model, np.asarray(x, dtype=np.float64)[None])[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GateDecision:
     """Execute or abstain, with its evidence: score, threshold, required-rule verdicts."""
 

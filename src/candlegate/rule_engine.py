@@ -8,6 +8,7 @@ short-circuiting) so the trace explains the full decision, pass or fail.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,9 +57,9 @@ class Predicate:
             if self.threshold is None or not (0.0 < self.threshold <= 1.0):
                 raise ValueError(f"{self.kind} needs a threshold in (0, 1]")
 
-    @property
+    @cached_property
     def cutoff(self) -> float:
-        """The value a ranked or fraction measurement must reach to pass."""
+        """The value a ranked or fraction measurement must reach to pass, made once."""
         if self.kind == BODY_UPPER_HALF:
             return 0.5
         # A minimum tail fraction is its threshold; "in the top q" is 1 - q.
@@ -82,7 +83,7 @@ class Rule:
         return max(p.lookback for p in self.predicates)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEntry:
     predicate: str
     measured: float
@@ -90,7 +91,7 @@ class TraceEntry:
     passed: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuleVerdict:
     rule: str
     passed: bool
@@ -167,11 +168,13 @@ def rule_passed(columns) -> np.ndarray:
 
 def rule_verdicts(rule: Rule, columns, rows=None) -> list[RuleVerdict]:
     """Verdicts with full traces for the given rows (all by default) of the columns."""
-    names = [p.name for p in rule.predicates]
+    # A constant threshold column is ``zeros + cutoff``, equal bit for bit to the cutoff float.
+    cutoffs = [None if p.kind == LOWEST_IN_WINDOW else p.cutoff for p in rule.predicates]
     verdicts = []
     for i in range(len(columns[0][0])) if rows is None else rows:
         trace = tuple(
-            TraceEntry(name, m.item(i), t.item(i), ok.item(i)) for name, (m, t, ok) in zip(names, columns)
+            TraceEntry(p.name, m.item(i), t.item(i) if cut is None else cut, ok.item(i))
+            for p, cut, (m, t, ok) in zip(rule.predicates, cutoffs, columns)
         )
         verdicts.append(RuleVerdict(rule=rule.name, passed=all(e.passed for e in trace), trace=trace))
     return verdicts

@@ -1,3 +1,4 @@
+from array import array
 from pathlib import Path
 from typing import NamedTuple
 
@@ -14,7 +15,7 @@ BACKTEST_FIXTURE = DATA_DIR / "backtest_demo.csv"
 
 
 class Candle(NamedTuple):
-    """One OHLCV row, in the field order Series.from_rows reads."""
+    """One OHLCV row, in the field order series_from_rows reads."""
 
     timestamp: int
     open: float
@@ -22,6 +23,24 @@ class Candle(NamedTuple):
     low: float
     close: float
     volume: float
+
+
+def series_from_rows(symbol: str, rows, timestamp_format: str) -> Series:
+    """Series from (timestamp, open, high, low, close, volume) rows."""
+    columns = [array("q"), *(array("d") for _ in range(5))]
+    for row in rows:
+        for column, value in zip(columns, row, strict=True):
+            column.append(value)
+    return Series(symbol, *columns, timestamp_format)
+
+
+def assert_trace_is_its_row(verdict, columns, i: int) -> None:
+    """Each trace entry holds row i of its predicate's column triple, bit for bit."""
+    assert len(verdict.trace) == len(columns)
+    for entry, (measured, threshold, passed) in zip(verdict.trace, columns):
+        got = np.array([entry.measured, entry.threshold]).tobytes()
+        assert got == np.array([measured[i], threshold[i]]).tobytes(), (entry, i)
+        assert entry.passed is bool(passed[i])
 
 
 def make_series(rng: np.random.Generator, n: int, start_price: float = 100.0) -> Series:
@@ -36,7 +55,7 @@ def make_series(rng: np.random.Generator, n: int, start_price: float = 100.0) ->
     volumes = rng.uniform(1.0, 1000.0, size=n)
     timestamps = [1_600_000_000 + 86_400 * i for i in range(n)]
     rows = zip(timestamps, opens.tolist(), highs.tolist(), lows.tolist(), closes.tolist(), volumes.tolist())
-    return Series.from_rows("RAND", rows, "epoch")
+    return series_from_rows("RAND", rows, "epoch")
 
 
 def candle_rows(series: Series) -> list[Candle]:

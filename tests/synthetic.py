@@ -15,6 +15,8 @@ from candlegate.forecaster import Side, drift_forecast, side_of
 from candlegate.market_data import Series
 from candlegate.rule_engine import TAIL_MIN_FRACTION, Predicate, Rule
 
+from conftest import series_from_rows
+
 
 def regime_flag_rule() -> Rule:
     return Rule(
@@ -33,7 +35,7 @@ def make_regime_series(
 
     # Closes fully determine the drift forecasts and realized directions, so
     # correctness can be computed before the candles are shaped.
-    plain = Series.from_rows(
+    plain = series_from_rows(
         "REGIME",
         (
             (86_400 * i, float(c), float(c) * 1.001, float(c) * 0.999, float(c), 100.0)
@@ -57,4 +59,4 @@ def make_regime_series(
         else:
             low, high = c - 0.001 * c, c + 0.009 * c   # tail fraction 0.1
         rows.append((86_400 * i, c, high, low, c, 100.0))
-    return Series.from_rows("REGIME", rows, "epoch")
+    return series_from_rows("REGIME", rows, "epoch")

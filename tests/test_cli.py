@@ -18,7 +18,9 @@ from candlegate.market_data import BLOCK, CSV_HEADER, Series, format_timestamp, 
 from candlegate.reliability_gate import model_from_json
 from candlegate.rule_engine import bottoming_tail_rule
 
-from conftest import BACKTEST_FIXTURE, BTC_FIXTURE, PLANTED_FIXTURE, candle_rows, make_series
+from conftest import (
+    BACKTEST_FIXTURE, BTC_FIXTURE, PLANTED_FIXTURE, candle_rows, make_series, series_from_rows,
+)
 
 STATS_SENTENCE = (
     "[Statistics]: The input has a minimum value of 26511.2 and a maximum "
@@ -616,7 +618,7 @@ def test_multi_block_outputs_are_byte_identical_to_the_golden_digests(model, tmp
 def _daily_series(n: int, flavour: str, seed: int) -> Series:
     """A random valid series of n candles one day apart, labelled in the given flavour."""
     rows = candle_rows(make_series(np.random.default_rng(seed), n))
-    return Series.from_rows("S", [(86_400 * (19_000 + i), *row[1:]) for i, row in enumerate(rows)], flavour)
+    return series_from_rows("S", [(86_400 * (19_000 + i), *row[1:]) for i, row in enumerate(rows)], flavour)
 
 
 @pytest.mark.parametrize("rows", [BLOCK - 1, BLOCK, BLOCK + 1])

@@ -23,11 +23,10 @@ from candlegate.evaluation import (
     walk_forward,
 )
 from candlegate.forecaster import Forecasts, Side, drift_forecast
-from candlegate.market_data import Series
 from candlegate.reliability_gate import GateModel, decide
 from candlegate.rule_engine import bottoming_tail_rule
 
-from conftest import candle_rows, make_series
+from conftest import assert_trace_is_its_row, candle_rows, make_series, series_from_rows
 from oracles import confusion_counts
 from synthetic import make_regime_series, regime_flag_rule
 
@@ -268,7 +267,7 @@ def test_report_json_roundtrip_and_null():
 
 def test_flat_closes_realize_down_by_the_tie_policy():
     rows = ((86_400 * i, 100.0, 101.0, 99.0, 100.0, 1.0) for i in range(20))
-    series = Series.from_rows("FLAT", rows, "epoch")
+    series = series_from_rows("FLAT", rows, "epoch")
     cfg = EvalConfig(lookback=5, horizon=2, train_fraction=0.0)
     records = walk_forward(series, drift_forecast, _zero_gate(), [], cfg)
     assert {(r.predicted, r.realized) for r in records} == {(Side.DOWN, Side.DOWN)}
@@ -382,6 +381,8 @@ def test_rows_read_on_demand_agree_with_the_columns(required):
         assert r.forecast == drift_forecast(series.window(r.origin_index - 19, r.origin_index + 1), 5)
         assert (r.predicted == Side.UP, r.realized == Side.UP) == (table.predicted_up[i], table.realized_up[i])
         assert [v.rule for v in r.verdicts] == [rule.name for rule in rules]
+        for verdict, columns in zip(r.verdicts, table.rule_columns):
+            assert_trace_is_its_row(verdict, columns, i)
         assert r.decision == decide(r.decision.score, gate, list(r.verdicts), required)
         assert r.decision.executed == table.executed[i]
 
@@ -419,7 +420,7 @@ def _splice(head, tail, start):
     rows = candle_rows(head)[:start] + [
         row._replace(timestamp=ts) for row, ts in zip(candle_rows(tail)[start:], head.timestamps.tolist()[start:])
     ]
-    return Series.from_rows(head.symbol, rows, head.timestamp_format)
+    return series_from_rows(head.symbol, rows, head.timestamp_format)
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)

@@ -25,16 +25,16 @@ from candlegate.forecaster import (
     side_of,
 )
 from candlegate.indicators import volatilities
-from candlegate.market_data import BLOCK, ParseError, Series, parse_csv, serialize_csv
+from candlegate.market_data import BLOCK, ParseError, parse_csv, serialize_csv
 
-from conftest import make_series, make_window
+from conftest import make_series, make_window, series_from_rows
 from oracles import least_squares_line, load_forecast_rows
 from test_market_data import TIMESTAMP_LABELS
 
 
 def _series_from_closes(closes):
     rows = ((86400 * i, c, c + 1.0, c - 1.0, c, 1.0) for i, c in enumerate(closes))
-    return Series.from_rows("X", rows, "epoch")
+    return series_from_rows("X", rows, "epoch")
 
 
 def test_naive_path_repeats_last_close():

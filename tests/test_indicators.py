@@ -10,10 +10,9 @@ from candlegate.indicators import (
     volatilities,
     TrendLine,
 )
-from candlegate.market_data import Series
 from candlegate.prompt_prefix import BITCOIN_DOMAIN, PromptConfig, build_prompt
 
-from conftest import Candle, candle_rows, make_series, make_window
+from conftest import Candle, candle_rows, make_series, make_window, series_from_rows
 from oracles import candle_geometry, least_squares_line, percentile_rank
 
 
@@ -23,7 +22,7 @@ def _series_from_closes(closes, lows=None, highs=None):
         lo = lows[i] if lows is not None else c - 1.0
         hi = highs[i] if highs is not None else c + 1.0
         rows.append((86400 * i, c, hi, lo, c, 1.0))
-    return Series.from_rows("X", rows, "epoch")
+    return series_from_rows("X", rows, "epoch")
 
 
 FLAT = TrendLine(slope=0.0, intercept=7.0, kind="support")

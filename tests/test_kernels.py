@@ -44,7 +44,7 @@ from candlegate.rule_engine import (
     rule_verdicts,
 )
 
-from conftest import candle_rows, make_series
+from conftest import assert_trace_is_its_row, candle_rows, make_series, series_from_rows
 from oracles import brute_force_bottoming_tail, least_squares_line
 
 HYPOTHESIS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -119,7 +119,7 @@ def tie_heavy_series(draw):
         low, a, b, high = sorted(draw(st.lists(st.integers(1, 6), min_size=4, max_size=4)))
         o, c = (a, b) if draw(st.booleans()) else (b, a)
         rows.append((86_400 * i, float(o), float(high), float(low), float(c), float(draw(st.integers(0, 3)))))
-    return Series.from_rows("TIES", rows, "epoch")
+    return series_from_rows("TIES", rows, "epoch")
 
 
 @HYPOTHESIS
@@ -130,10 +130,11 @@ def test_verdicts_match_brute_force_oracle(series, lookback, data):
     columns = predicate_columns(rule, series, ends, lookback)
     verdicts = rule_verdicts(rule, columns)
     rows = [c[1:] for c in candle_rows(series)]
-    for end, verdict, passed in zip(ends.tolist(), verdicts, rule_passed(columns).tolist()):
+    for i, (end, verdict, passed) in enumerate(zip(ends.tolist(), verdicts, rule_passed(columns).tolist())):
         expected = brute_force_bottoming_tail(rows[end - lookback : end], lookback)
         assert [e.passed for e in verdict.trace] == expected
         assert verdict.passed == passed == all(expected)
+        assert_trace_is_its_row(verdict, columns, i)
     end = int(data.draw(st.sampled_from(ends.tolist())))
     assert evaluate_rule(rule, series.window(end - lookback, end)) == verdicts[end - lookback]
 
@@ -209,7 +210,7 @@ def _with_dojis(n: int, every: int) -> Series:
     for i in range(every - 1, n, every):
         price = rows[i].close
         rows[i] = rows[i]._replace(open=price, high=price, low=price)
-    return Series.from_rows("DOJI", rows, "epoch")
+    return series_from_rows("DOJI", rows, "epoch")
 
 
 def test_doji_inside_a_block_warns_nothing_and_fails_fractions():

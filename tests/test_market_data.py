@@ -21,7 +21,7 @@ from candlegate.market_data import (
     serialize_csv,
 )
 
-from conftest import make_series
+from conftest import make_series, series_from_rows
 from oracles import first_row_fault
 
 HEADER = "timestamp,open,high,low,close,volume"
@@ -153,7 +153,7 @@ def _row(ts=0, o=100.0, h=101.0, l=99.0, c=100.0, v=1.0):
 
 def test_validate_is_identity_on_valid_series():
     rows = [_row(0), _row(86400, c=100.5)]
-    series = Series.from_rows("X", rows, "epoch")
+    series = series_from_rows("X", rows, "epoch")
     assert list(zip(*(column.tolist() for column in series.columns))) == rows
     # rebuilding from the columns checks them again and keeps them
     again = Series("X", *series.columns, "epoch")
@@ -165,22 +165,22 @@ def test_validate_is_identity_on_valid_series():
 
 def test_validate_rejects_equal_timestamps():
     with pytest.raises(ValidationError, match="candle 1.*strictly increasing"):
-        Series.from_rows("X", [_row(0), _row(0)], "epoch")
+        series_from_rows("X", [_row(0), _row(0)], "epoch")
 
 
 def test_validate_rejects_out_of_order():
     with pytest.raises(ValidationError, match="candle 1"):
-        Series.from_rows("X", [_row(86400), _row(0)], "epoch")
+        series_from_rows("X", [_row(86400), _row(0)], "epoch")
 
 
 def test_validate_rejects_negative_volume():
     with pytest.raises(ValidationError, match="volume"):
-        Series.from_rows("X", [_row(v=-1.0)], "epoch")
+        series_from_rows("X", [_row(v=-1.0)], "epoch")
 
 
 def test_validate_rejects_empty_series():
     with pytest.raises(ValidationError, match="empty"):
-        Series.from_rows("X", [], "epoch")
+        series_from_rows("X", [], "epoch")
 
 
 PRICE = st.floats(min_value=1e-3, max_value=1e6)

@@ -5,7 +5,6 @@ import pytest
 
 from candlegate.evaluation import EvalConfig, walk_forward
 from candlegate.forecaster import Forecast, naive_forecast
-from candlegate.market_data import Series
 from candlegate.reliability_gate import (
     FeatureError,
     GateModel,
@@ -21,12 +20,12 @@ from candlegate.reliability_gate import (
 )
 from candlegate.rule_engine import Predicate, Rule, RuleVerdict, TraceEntry, evaluate_rule
 
-from conftest import make_series, make_window
+from conftest import make_series, make_window, series_from_rows
 
 
 def _flat_series(n=20, price=100.0):
     rows = ((86400 * i, price, price, price, price, 1.0) for i in range(n))
-    return Series.from_rows("X", rows, "epoch")
+    return series_from_rows("X", rows, "epoch")
 
 
 def _verdict(name, passed):
@@ -90,7 +89,7 @@ def _label_bits(series, path_end, horizon):
 def test_meta_label_basic():
     closes = [100.0, 101.0, 102.0, 103.0, 100.0]
     rows = ((86400 * i, c, c + 1, c - 1, c, 1.0) for i, c in enumerate(closes))
-    series = Series.from_rows("X", rows, "epoch")
+    series = series_from_rows("X", rows, "epoch")
     up = lambda origin: 200.0   # predicts Up over horizon 2
     assert _label_bits(series, up, 2) == ([1, 2], [True, False])  # 101 -> 103, then 102 -> 100
     assert _label_bits(_flat_series(5), up, 2) == ([1, 2], [False, False])  # flat realizes Down by tie rule
@@ -205,6 +204,12 @@ def test_train_flags_non_finite_loss():
     X = np.array([[float("nan"), 1.0], [1.0, 1.0]])
     with pytest.raises(TrainingError, match="non-finite"):
         train(X, [0, 1])
+
+
+def test_train_overflow_is_a_training_error():
+    """The logits overflow at epoch 1; that is the typed error, not a floating-point warning."""
+    with pytest.raises(TrainingError, match="non-finite logits at epoch 1$"):
+        train([[1e200, 0], [1e200, 1], [1e200, 2]], [0, 1, 1])
 
 
 def test_decide_score_only():

@@ -1,17 +1,23 @@
+import tracemalloc
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 
-from candlegate.market_data import Series
+from candlegate.reliability_gate import GateDecision, gate_decision
 from candlegate.rule_engine import (
+    DEFAULT_LOOKBACK,
     InsufficientHistoryError,
     Predicate,
     Rule,
+    RuleVerdict,
+    TraceEntry,
     bottoming_tail_rule,
     evaluate_rule,
     explain,
 )
 
-from conftest import Candle, candle_rows, make_series
+from conftest import Candle, candle_rows, make_series, series_from_rows
 from oracles import brute_force_bottoming_tail
 
 
@@ -24,7 +30,7 @@ def _all_pass_series(n=90):
     """89 quiet candles plus a last candle that meets every criterion."""
     candles = [_baseline_candle(i) for i in range(n - 1)]
     candles.append(Candle(86400 * (n - 1), 100.0, 104.0, 90.0, 103.0, 1000.0))
-    return Series.from_rows("X", candles, "epoch")
+    return series_from_rows("X", candles, "epoch")
 
 
 def test_builtin_rule_structure():
@@ -51,7 +57,7 @@ def test_doji_fails_geometric_predicates():
     series = _all_pass_series()
     rows = candle_rows(series)
     rows[-1] = Candle(rows[-1].timestamp, 90.0, 90.0, 90.0, 90.0, 1000.0)
-    series = Series.from_rows("X", rows, "epoch")
+    series = series_from_rows("X", rows, "epoch")
     verdict = evaluate_rule(bottoming_tail_rule(), series.window(0, len(series)))
     assert not verdict.passed
     failed = {e.predicate for e in verdict.trace if not e.passed}
@@ -150,7 +156,7 @@ def test_explain_format_failure():
     # shrink the last volume so the volume predicate fails
     rows = candle_rows(series)
     rows[-1] = rows[-1]._replace(volume=1.0)
-    series = Series.from_rows("X", rows, "epoch")
+    series = series_from_rows("X", rows, "epoch")
     verdict = evaluate_rule(rule, series.window(0, len(series)))
     lines = explain(verdict)
     assert any(line.startswith("FAIL volume_in_top_10pct") for line in lines)
@@ -169,3 +175,44 @@ def test_predicate_validation():
     p = Predicate("x", "lowest_in_window", 5)
     with pytest.raises(ValueError):
         Rule("r", (p, p))
+
+
+def test_evidence_classes_keep_no_instance_dict():
+    series = _all_pass_series()
+    verdict = evaluate_rule(bottoming_tail_rule(), series.window(0, len(series)))
+    decision = gate_decision(0.75, 0.5, (verdict,))
+    for obj, cls in ((verdict.trace[0], TraceEntry), (verdict, RuleVerdict), (decision, GateDecision)):
+        assert type(obj) is cls
+        assert not hasattr(obj, "__dict__"), cls.__name__
+        assert hash(obj) == hash(replace(obj))
+
+
+def test_evidence_classes_replace_and_asdict_like_plain_dataclasses():
+    series = _all_pass_series()
+    verdict = evaluate_rule(bottoming_tail_rule(), series.window(0, len(series)))
+    failed = replace(verdict, passed=False)
+    assert failed.passed is False and failed.trace is verdict.trace and failed != verdict
+    assert replace(failed, passed=True) == verdict
+    decision = gate_decision(0.75, 0.5, (verdict,))
+    flipped = replace(decision, executed=not decision.executed)
+    assert (flipped.executed, flipped.score, flipped.rules) == (False, 0.75, (verdict,))
+    assert flipped.reasons == decision.reasons
+    assert asdict(verdict)["trace"][0] == asdict(verdict.trace[0])
+    assert repr(verdict.trace[0]).startswith("TraceEntry(predicate='lowest_low_in_window', measured=")
+
+
+def test_kept_verdicts_cost_at_most_800_bytes_each():
+    """Verdicts a caller keeps hold their numbers, not per-object dicts: each of
+    1,200 evaluate_rule verdicts (six trace entries) costs at most 800 bytes."""
+    rule, lookback, n = bottoming_tail_rule(), DEFAULT_LOOKBACK, 1_200
+    series = make_series(np.random.default_rng(5), lookback + n)
+    windows = [series.window(end - lookback, end) for end in range(lookback, lookback + n)]
+    evaluate_rule(rule, windows[0])  # warm-up: per-rule cutoffs and cached axes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [evaluate_rule(rule, w) for w in windows]
+        per_verdict = (tracemalloc.get_traced_memory()[0] - before) / len(kept)
+    finally:
+        tracemalloc.stop()
+    assert per_verdict <= 800, per_verdict
