@@ -11,7 +11,6 @@ are exact, never nearest-match.
 from __future__ import annotations
 
 import enum
-import math
 from array import array
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -29,8 +28,8 @@ from .market_data import (
     Window,
     _data_record,
     _decode,
-    _parse_timestamp,
     _read_csv,
+    _read_data,
     _timestamps,
     format_timestamp,
 )
@@ -253,8 +252,7 @@ class BlockForecaster:
 class Baseline(BlockForecaster):
     """A baseline kernel, run on the gathered windows of each block of origins.
 
-    Called on one window, it runs the kernel on that window's row alone, at
-    the given coverage or its own.
+    Called on one window, it runs the kernel on that window's row alone.
     """
 
     kernel: Callable
@@ -267,8 +265,8 @@ class Baseline(BlockForecaster):
         ]
         return Forecasts(origins, *map(np.concatenate, zip(*parts)))
 
-    def __call__(self, w: Window, horizon: int, coverage: float | None = None) -> Forecast:
-        columns = self.kernel(w.closes[None, :], horizon, self.coverage if coverage is None else coverage)
+    def __call__(self, w: Window, horizon: int) -> Forecast:
+        columns = self.kernel(w.closes[None, :], horizon, self.coverage)
         fault = _first_fault(*columns)
         if fault is not None:
             raise ValueError(fault[1])
@@ -361,38 +359,35 @@ class ExternalColumns(NamedTuple):
     values: np.ndarray
 
 
-def _read_forecast_row(row: list[str], width: int) -> tuple[int, int, list[float]]:
-    """(timestamp, step, values) of one data row; ValueError names its fault."""
-    if len(row) != width:
-        raise ValueError(f"expected {width} fields, got {len(row)}: {row!r}")
-    ts, _ = _parse_timestamp(row[0])
-    try:
-        step = int(row[1])
-    except ValueError:
-        raise ValueError(f"step {row[1]!r} is not an integer") from None
-    try:
-        values = [float(f) for f in row[2:]]
-    except ValueError:
-        raise ValueError(f"non-numeric value in {row[2:]!r}") from None
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"non-finite value in {row[2:]!r}")
-    return ts, step, values
-
-
 def _read_forecast_block(rows: list[list[str]], width: int):
-    """Timestamps, steps and row-major values of a block of data rows, or None if a row is faulty."""
+    """Timestamps, steps and row-major values of a block of data rows.
+
+    ValueError names a fault.  The checks run in the grammar's order (field
+    count, timestamp, step, values, finiteness), so on one row it names that
+    row's first fault.
+    """
     if set(map(len, rows)) != {width}:
-        return None
+        row = next(row for row in rows if len(row) != width)
+        raise ValueError(f"expected {width} fields, got {len(row)}: {row!r}")
     cells = list(chain.from_iterable(rows))
+    epochs, _ = _timestamps(cells[::width])
+    del cells[::width]
     try:
-        epochs, _ = _timestamps(cells[::width])
-        del cells[::width]
         steps = list(map(int, cells[:: width - 1]))
-        del cells[:: width - 1]
+    except ValueError:
+        for row in rows:  # name the first step that is not an integer
+            try:
+                int(row[1])
+            except ValueError:
+                raise ValueError(f"step {row[1]!r} is not an integer") from None
+    del cells[:: width - 1]
+    try:
         values = array("d", map(float, cells))
     except ValueError:
-        return None
-    return (epochs, steps, values) if np.isfinite(np.frombuffer(values)).all() else None
+        raise ValueError(f"non-numeric value in {cells!r}") from None
+    if not np.isfinite(np.frombuffer(values)).all():
+        raise ValueError(f"non-finite value in {cells!r}")
+    return epochs, steps, values
 
 
 def _group_starts(timestamps: np.ndarray) -> np.ndarray:
@@ -400,16 +395,15 @@ def _group_starts(timestamps: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([len(timestamps) > 0], timestamps[1:] != timestamps[:-1])))
 
 
-def _regrouped_fault(data, timestamps: array) -> ParseError | None:
-    """The fault of the first row that starts a second group of rows for one origin, or None."""
+def _check_grouped(data, timestamps: array) -> None:
+    """Raise the ParseError of the first row that starts a second group of rows for one origin."""
     timestamps = np.frombuffer(timestamps, dtype=np.int64)
     starts = _group_starts(timestamps)
     repeated = np.ones(len(starts), dtype=bool)
     repeated[np.unique(timestamps[starts], return_index=True)[1]] = False
-    if not repeated.any():
-        return None
-    line, cells = _data_record(data, int(starts[repeated.argmax()]))
-    return ParseError(f"rows for origin {cells[0]} are not grouped together", line=line)
+    if repeated.any():
+        line, cells = _data_record(data, int(starts[repeated.argmax()]))
+        raise ParseError(f"rows for origin {cells[0]} are not grouped together", line=line)
 
 
 def read_external_forecasts(text: str | bytes, series: Series | None = None) -> ExternalColumns:
@@ -435,26 +429,9 @@ def read_external_forecasts(text: str | bytes, series: Series | None = None) -> 
 
     width = len(names.split(","))
     timestamps, steps, values = array("q"), [], array("d")
-    for lines, rows in blocks:
-        block = _read_forecast_block(rows, width)
-        if block is None:
-            # Read the block again row by row to name the first faulty row; rows
-            # of an origin regrouped at an earlier row are reported instead.
-            for line, row in zip(lines, rows):
-                try:
-                    ts, step, fields = _read_forecast_row(row, width)
-                except ValueError as exc:
-                    raise _regrouped_fault(text, timestamps) or ParseError(str(exc), line=line) from None
-                timestamps.append(ts)
-                steps.append(step)
-                values.extend(fields)
-        else:
-            timestamps.extend(block[0])
-            steps.extend(block[1])
-            values.extend(block[2])
-    fault = _regrouped_fault(text, timestamps)
-    if fault is not None:
-        raise fault
+    _read_data((timestamps, steps, values), blocks, lambda rows: _read_forecast_block(rows, width),
+               lambda: _check_grouped(text, timestamps))
+    _check_grouped(text, timestamps)
 
     ts = np.frombuffer(timestamps, dtype=np.int64)
     values = np.frombuffer(values).reshape(-1, width - 2)

@@ -279,31 +279,44 @@ def _data_record(data: str | bytes, row: int) -> tuple[int, list[str]]:
     raise IndexError(row)
 
 
-def _read_row(row: list[str], flavour: str) -> tuple[int, list[float]]:
-    """(timestamp, [open, high, low, close, volume]) of one data row; ValueError names its fault."""
-    if len(row) != 6:
-        raise ValueError(f"expected 6 fields, got {len(row)}")
-    ts, row_flavour = _parse_timestamp(row[0])
-    if row_flavour != flavour:
-        raise ValueError(f"inconsistent timestamp format ({row_flavour!r} after {flavour!r})")
-    try:
-        return ts, [float(f) for f in row[1:]]
-    except ValueError:
-        raise ValueError(f"non-numeric field in {row[1:]!r}") from None
+def _read_block(rows: list[list[str]], flavour: str) -> tuple[array, array]:
+    """Timestamps and row-major values of a block of data rows.
 
-
-def _read_block(rows: list[list[str]], flavour: str) -> tuple[array, array] | None:
-    """Timestamps and row-major values of a block of data rows, or None if a row is faulty."""
+    ValueError names a fault.  The checks run in the grammar's order (field
+    count, timestamp, flavour, values), so on one row it names that row's first fault.
+    """
     if set(map(len, rows)) != {6}:
-        return None
+        raise ValueError(f"expected 6 fields, got {next(len(row) for row in rows if len(row) != 6)}")
     cells = list(chain.from_iterable(rows))
+    epochs, flavours = _timestamps(cells[::6])
+    if flavours != {flavour}:
+        raise ValueError(f"inconsistent timestamp format ({(flavours - {flavour}).pop()!r} after {flavour!r})")
+    del cells[::6]
     try:
-        epochs, flavours = _timestamps(cells[::6])
-        del cells[::6]
-        values = array("d", map(float, cells))
+        return epochs, array("d", map(float, cells))
     except ValueError:
-        return None
-    return (epochs, values) if flavours == {flavour} else None
+        raise ValueError(f"non-numeric field in {cells!r}") from None
+
+
+def _read_data(columns, blocks, read, check_earlier) -> None:
+    """Extend the columns by the parts that ``read`` returns for each ``(lines, rows)`` block.
+
+    A block that ``read`` rejects is read again one row at a time.  At the
+    first rejected row, ``check_earlier()`` may raise the fault of a row read
+    before it; otherwise that row's ValueError is raised as a ParseError on its line.
+    """
+    for lines, rows in blocks:
+        try:
+            parts = read(rows)
+        except ValueError as exc:
+            if len(rows) > 1:
+                _read_data(columns, (([line], [row]) for line, row in zip(lines, rows)), read, check_earlier)
+                continue
+            if columns[0]:
+                check_earlier()
+            raise ParseError(str(exc), line=lines[0]) from None
+        for column, part in zip(columns, parts):
+            column.extend(part)
 
 
 def _series(data, symbol: str, timestamps: array, values: array, flavour: str) -> Series:
@@ -328,34 +341,18 @@ def parse_csv(text: str | bytes, symbol: str = "") -> Series:
     if names != CSV_HEADER:
         raise ParseError(f"expected header {CSV_HEADER!r}, got {names!r}", line=header_line)
 
-    timestamps, values = array("q"), array("d")
-    flavour = None
-    for lines, rows in blocks:
-        if flavour is None:
-            # The first row fixes the timestamp flavour; if its timestamp is
-            # malformed, that row is rejected before the flavour matters.
-            try:
-                _, flavour = _parse_timestamp(rows[0][0])
-            except ValueError:
-                flavour = TS_ISO
-        block = _read_block(rows, flavour)
-        if block is None:
-            # Read the block again row by row to name the first faulty row;
-            # a violated invariant at an earlier row is reported instead.
-            for line, row in zip(lines, rows):
-                try:
-                    ts, fields = _read_row(row, flavour)
-                except ValueError as exc:
-                    if timestamps:
-                        _series(text, symbol, timestamps, values, flavour)
-                    raise ParseError(str(exc), line=line) from None
-                timestamps.append(ts)
-                values.extend(fields)
-        else:
-            timestamps.extend(block[0])
-            values.extend(block[1])
-    if flavour is None:
+    first = next(blocks, None)
+    if first is None:
         raise ParseError("empty input: header but no data rows")
+    # The first row fixes the timestamp flavour; if its timestamp is
+    # malformed, that row is rejected before the flavour matters.
+    try:
+        _, flavour = _parse_timestamp(first[1][0][0])
+    except ValueError:
+        flavour = TS_ISO
+    timestamps, values = array("q"), array("d")
+    _read_data((timestamps, values), chain((first,), blocks), lambda rows: _read_block(rows, flavour),
+               lambda: _series(text, symbol, timestamps, values, flavour))
     return _series(text, symbol, timestamps, values, flavour)
 
 

@@ -133,9 +133,13 @@ def log_loss_and_gradient(weights: np.ndarray, X: np.ndarray, y: np.ndarray):
     return float(np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - y * z)), grad
 
 
-def _standardize(X: np.ndarray):
-    means = X.mean(axis=0)
-    stds = X.std(axis=0)
+def _standardize(X: np.ndarray, names: tuple[str, ...]):
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = X.mean(axis=0)
+        stds = X.std(axis=0)
+    nonfinite = ~(np.isfinite(means) & np.isfinite(stds))
+    if nonfinite.any():
+        raise TrainingError(f"feature {names[nonfinite.argmax()]!r} has a non-finite mean or std")
     constant = stds == 0.0
     # Constant features (e.g. the bias term) pass through unchanged.
     means = np.where(constant, 0.0, means)
@@ -158,7 +162,9 @@ def train(X, y, threshold: float = 0.5, names: tuple[str, ...] | None = None) ->
     if names is not None and len(names) != X.shape[1]:
         raise TrainingError(f"{len(names)} feature names for {X.shape[1]} features")
 
-    X_std, means, stds = _standardize(X)
+    if names is None:
+        names = tuple(f"f{i}" for i in range(X.shape[1]))
+    X_std, means, stds = _standardize(X, names)
     weights = np.zeros(X.shape[1])
     # The loss is finite exactly when the logits are; an overflow is a TrainingError.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -168,8 +174,6 @@ def train(X, y, threshold: float = 0.5, names: tuple[str, ...] | None = None) ->
                 raise TrainingError(f"non-finite logits at epoch {epoch}")
             weights -= LEARNING_RATE * grad
 
-    if names is None:
-        names = tuple(f"f{i}" for i in range(X.shape[1]))
     return GateModel(
         weights=tuple(float(v) for v in weights),
         threshold=threshold,

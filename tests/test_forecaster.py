@@ -1,3 +1,4 @@
+from dataclasses import replace
 from datetime import date
 from unittest import mock
 
@@ -54,7 +55,7 @@ def test_naive_zero_volatility_zero_width():
 def test_naive_interval_uses_normal_quantile():
     rng = np.random.default_rng(12)
     w = make_window(rng, 30)
-    f = naive_forecast(w, horizon=5, coverage=0.68)
+    f = replace(naive_forecast, coverage=0.68)(w, horizon=5)
     z_oracle = scipy_stats.norm.ppf(0.5 + 0.68 / 2)
     sigma_price = volatilities(w.closes[None, :])[0] * float(w.closes[-1])
     width_step1 = f.path[0] - f.lower[0]
@@ -428,11 +429,13 @@ def test_load_external_matches_row_at_a_time_reference(case):
     _assert_load_matches_reference(case)
 
 
+@pytest.mark.parametrize("block", [1, 3])
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(forecast_rows())
-def test_load_external_matches_reference_across_blocks(case):
+def test_load_external_matches_reference_across_blocks(block, case):
     # Blocks of 3 rows: the drawn files of up to 16 rows cross block boundaries.
-    with mock.patch.object(market_data, "BLOCK", 3):
+    # Blocks of 1 row: a faulty row is rejected on its first read.
+    with mock.patch.object(market_data, "BLOCK", block):
         _assert_load_matches_reference(case)
 
 
@@ -471,6 +474,9 @@ def _forecast_file_rows(origins, horizon=3):
         [(BLOCK - 1, "ungrouped"), (BLOCK + 1, "non_numeric")],
         [(BLOCK - 1, "bracket"), (BLOCK, "non_numeric")],
         [(BLOCK + 1, "gap"), (BLOCK - 1, "bracket")],
+        # Two faults in one row: the one the grammar checks first is named.
+        *([(row, "label"), (row, "step")] for row in (BLOCK - 1, BLOCK, BLOCK + 1)),
+        *([(row, "step"), (row, "non_numeric")] for row in (BLOCK - 1, BLOCK, BLOCK + 1)),
     ],
     ids=lambda faults: "+".join(f"{kind}@{row - BLOCK:+d}" for row, kind in faults),
 )
@@ -487,6 +493,10 @@ def test_load_external_names_the_first_fault_near_a_block_boundary(faults):
             rows[row][1] = "7"
         elif kind == "ungrouped":
             rows[row][0] = rows[0][0]
+        elif kind == "label":
+            rows[row][0] = "2024-13-01"
+        elif kind == "step":
+            rows[row][1] = "x"
     _, (line, message) = load_forecast_rows(rows, True)
     text = EXTERNAL_HEADER_FULL + "\n" + "".join(",".join(cells) + "\n" for cells in rows)
     with pytest.raises(ParseError) as excinfo:

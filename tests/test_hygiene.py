@@ -1,0 +1,57 @@
+"""Static checks of the package source, with the standard library's ``ast`` alone."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "candlegate"
+MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _read_names(node: ast.AST) -> set[str]:
+    """The names a node reads: loaded names, attributes, and names imported from a module."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            names.update(alias.name for alias in n.names)
+    return names
+
+
+def _defined_names(statement: ast.stmt) -> list[str]:
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    targets = statement.targets if isinstance(statement, ast.Assign) else [getattr(statement, "target", None)]
+    return [target.id for target in targets if isinstance(target, ast.Name)]
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {"__init__"}))
+def test_every_import_is_used(module):
+    tree = MODULES[module]
+    loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    imported = [
+        alias.asname or alias.name.split(".")[0]
+        for statement in tree.body
+        if isinstance(statement, (ast.Import, ast.ImportFrom)) and getattr(statement, "module", "") != "__future__"
+        for alias in statement.names
+    ]
+    assert [name for name in imported if name not in loaded] == []
+
+
+def test_every_private_top_level_name_is_referenced():
+    """A private name defined at a module's top level is read somewhere outside its own definition."""
+    statements = [statement for tree in MODULES.values() for statement in tree.body]
+    reads = [_read_names(statement) for statement in statements]
+    readers = Counter(name for names in reads for name in names)
+    unreferenced = [
+        name
+        for statement, names in zip(statements, reads)
+        for name in _defined_names(statement)
+        if name.startswith("_") and not name.startswith("__") and readers[name] == (name in names)
+    ]
+    assert unreferenced == []

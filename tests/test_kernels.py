@@ -5,6 +5,8 @@ independent reference, and a one-origin call must give exactly the bits of
 its row in any batch, including batches that span a block boundary.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -357,7 +359,7 @@ def test_drift_forecast_at_a_coverage_is_its_batch_row():
     batch = Baseline(KERNELS["drift"], 0.9).forecasts(series, origins, 120, 6)
     for i in (0, 90, len(origins) - 1):
         w = series.window(int(origins[i]) - 119, int(origins[i]) + 1)
-        assert _bits(drift_forecast(w, 6, coverage=0.9)) == _bits(batch[i])
+        assert _bits(replace(drift_forecast, coverage=0.9)(w, 6)) == _bits(batch[i])
         assert _bits(Baseline(KERNELS["drift"], 0.9)(w, 6)) == _bits(batch[i])
     assert _bits(drift_forecast(w, 6)) != _bits(batch[-1])  # its own coverage is the default
 
@@ -374,7 +376,7 @@ def _assert_forecast_rows_match_one_window(series, origins, lookback, horizon, c
         assert batch.origins.tolist() == origins.tolist()
         for i in rows:
             w = series.window(int(origins[i]) - lookback + 1, int(origins[i]) + 1)
-            assert _bits(BASELINES[name](w, horizon, coverage=coverage)) == _bits(batch[i])
+            assert _bits(replace(BASELINES[name], coverage=coverage)(w, horizon)) == _bits(batch[i])
 
 
 @HYPOTHESIS

@@ -246,11 +246,13 @@ def test_parse_matches_row_at_a_time_reference(case):
     _assert_parse_matches_reference(case)
 
 
+@pytest.mark.parametrize("block", [1, 3])
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(csv_rows())
-def test_parse_matches_reference_across_blocks(case):
+def test_parse_matches_reference_across_blocks(block, case):
     # Blocks of 3 rows: the drawn files of up to 8 rows cross block boundaries.
-    with mock.patch.object(market_data, "BLOCK", 3):
+    # Blocks of 1 row: a faulty row is rejected on its first read.
+    with mock.patch.object(market_data, "BLOCK", block):
         _assert_parse_matches_reference(case)
 
 
@@ -311,6 +313,25 @@ def test_parse_names_the_first_fault_near_a_block_boundary(faults):
     with pytest.raises(ParseError) as excinfo:
         parse_csv(_csv_text("iso", rows).encode())
     assert str(excinfo.value) == f"line {index + 2}: {message}"
+
+
+@pytest.mark.parametrize("row", [BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ("1704153600,1,2,0.5,abc,10", "inconsistent timestamp format ('epoch' after 'iso')"),
+        ("2024-13-01,1,2,0.5,abc,10", "timestamp '2024-13-01' is neither epoch seconds nor an ISO date"),
+    ],
+    ids=["flavour+non_numeric", "timestamp+non_numeric"],
+)
+def test_parse_names_a_rows_faults_in_the_grammar_order(cells, message, row):
+    """A row with two faults is rejected for the one checked first: field count,
+    timestamp, flavour, then values."""
+    lines = _csv_text("iso", _valid_rows(3 * BLOCK)).splitlines()
+    lines[row + 1] = cells
+    with pytest.raises(ParseError) as excinfo:
+        parse_csv("\n".join(lines) + "\n")
+    assert str(excinfo.value) == f"line {row + 2}: {message}"
 
 
 # How each label reads: (epoch seconds, flavour), or the end of its error message.

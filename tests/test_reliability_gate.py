@@ -212,6 +212,14 @@ def test_train_overflow_is_a_training_error():
         train([[1e200, 0], [1e200, 1], [1e200, 2]], [0, 1, 1])
 
 
+def test_train_rejects_a_feature_whose_mean_or_std_overflows():
+    """A spread or a sum beyond float64 is a TrainingError naming the feature, not a warning."""
+    with pytest.raises(TrainingError, match="^feature 'f0' has a non-finite mean or std$"):
+        train([[1e200, 0], [-1e200, 1], [1e200, 2]], [0, 1, 1])
+    with pytest.raises(TrainingError, match="^feature 'close' has a non-finite mean or std$"):
+        train([[0, 1e308], [1, 1e308]], [0, 1], names=("bias", "close"))
+
+
 def test_decide_score_only():
     model = _model([1.0], threshold=0.5)
     decision = decide(0.8, model, [], [])
