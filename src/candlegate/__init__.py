@@ -13,7 +13,6 @@ from .market_data import (
     ValidationError,
     Window,
     parse_csv,
-    serialize_csv,
 )
 from .indicators import (
     TrendLine,
@@ -61,7 +60,6 @@ from .evaluation import (
     EvalTable,
     MetricsRow,
     apply_threshold,
-    emit_forecast_trace,
     f1_score,
     report,
     summarize,

@@ -14,6 +14,7 @@ import io
 import json
 from collections.abc import Sequence
 from dataclasses import asdict, astuple, dataclass, fields, replace
+from itertools import zip_longest
 
 import numpy as np
 
@@ -185,19 +186,22 @@ def train_gate_on_series(series: Series, forecaster, rules: list[Rule], cfg: Eva
 def walk_forward(
     series: Series,
     forecaster,
-    gate: GateModel | None,
+    gate: GateModel,
     rules: list[Rule],
     cfg: EvalConfig,
 ) -> EvalTable:
-    """The decision table over the evaluation segment.
+    """The decision table over the evaluation segment, scored by a trained gate.
 
-    With gate=None the gate is first trained on the training segment; pass a
-    pre-trained model to evaluate with train_fraction 0.
+    The gate must have been trained on the features these rules give, in their
+    order; a gate trained elsewhere evaluates a series with train_fraction 0.
     """
-    required = required_positions([rule.name for rule in rules], cfg.required_rules)
+    rule_names = [rule.name for rule in rules]
+    expected = feature_names(rule_names)
+    for i, (got, want) in enumerate(zip_longest(gate.feature_names, expected)):
+        if got != want:
+            raise ValueError(f"gate model feature {i} is {got!r}, but the rules give {want!r}")
+    required = required_positions(rule_names, cfg.required_rules)
     _, eval_origins = _origin_splits(series, cfg)
-    if gate is None:
-        gate = train_gate_on_series(series, forecaster, rules, cfg)
     forecasts, rule_columns, X, predicted_up, realized_up = _origin_columns(
         series, eval_origins, forecaster, rules, cfg
     )
@@ -331,8 +335,9 @@ def parse_report_json(text: str | bytes) -> list[MetricsRow]:
 
 
 def forecast_trace_chunks(table: EvalTable, series: Series):
-    """The trace CSV text in pieces: the header line, then the rows of each block of
-    origins, so a writer holds one block's text at a time."""
+    """The long-format, plot-ready trace CSV, one row per origin per forecast step, in
+    pieces: the header line, then the rows of each block of origins, so a writer holds
+    one block's text at a time."""
     yield TRACE_CSV_HEADER + "\n"
     forecasts, fmt, executed = table.forecasts, series.timestamp_format, table.executed
     for span in blocks(range(len(table))):
@@ -356,8 +361,3 @@ def forecast_trace_chunks(table: EvalTable, series: Series):
                 interval = "," if lower is None else f"{lower[k]!r},{upper[k]!r}"
                 lines.append(f"{ts},{k + 1},{predicted!r},{interval},{actual[origin - base + k]},{flag}\n")
         yield "".join(lines)
-
-
-def emit_forecast_trace(table: EvalTable, series: Series) -> str:
-    """Long-format, plot-ready CSV: one row per origin per forecast step."""
-    return "".join(forecast_trace_chunks(table, series))

@@ -284,10 +284,6 @@ def is_up(close, origin_close):
     return close > origin_close
 
 
-def side_of(close: float, origin_close: float) -> Side:
-    return Side.UP if is_up(close, origin_close) else Side.DOWN
-
-
 BASELINES = {
     "naive": naive_forecast,
     "drift": drift_forecast,

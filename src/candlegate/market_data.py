@@ -354,11 +354,3 @@ def parse_csv(text: str | bytes, symbol: str = "") -> Series:
     _read_data((timestamps, values), chain((first,), blocks), lambda rows: _read_block(rows, flavour),
                lambda: _series(text, symbol, timestamps, values, flavour))
     return _series(text, symbol, timestamps, values, flavour)
-
-
-def serialize_csv(series: Series) -> str:
-    """Inverse of parse_csv: emits LF-terminated CSV that reparses to equal columns."""
-    lines = [CSV_HEADER]
-    for ts, *values in zip(*(column.tolist() for column in series.columns)):
-        lines.append(",".join([format_timestamp(ts, series.timestamp_format), *map(repr, values)]))
-    return "\n".join(lines) + "\n"

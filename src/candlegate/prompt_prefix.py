@@ -70,11 +70,6 @@ def _trimmed(s: str) -> str:
     return s.rstrip("0").rstrip(".") if "." in s else s
 
 
-def format_number(x: float, decimals: int) -> str:
-    """Fixed-point rendering with trailing zeros (and a bare point) trimmed."""
-    return _trimmed(f"{x:.{decimals}f}")
-
-
 def _sequence(line: TrendLine, samples: int) -> str:
     intercept, slope = line.intercept, line.slope
     return " ".join([_trimmed(format(intercept + slope * k, _LINE_SPEC)) for k in range(samples)])

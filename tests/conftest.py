@@ -5,7 +5,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from candlegate.market_data import Series, parse_csv
+from candlegate.market_data import CSV_HEADER, Series, format_timestamp, parse_csv
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -32,6 +32,14 @@ def series_from_rows(symbol: str, rows, timestamp_format: str) -> Series:
         for column, value in zip(columns, row, strict=True):
             column.append(value)
     return Series(symbol, *columns, timestamp_format)
+
+
+def serialize_csv(series: Series) -> str:
+    """Inverse of parse_csv: LF-terminated CSV that reparses to equal columns."""
+    lines = [CSV_HEADER]
+    for ts, *values in zip(*(column.tolist() for column in series.columns)):
+        lines.append(",".join([format_timestamp(ts, series.timestamp_format), *map(repr, values)]))
+    return "\n".join(lines) + "\n"
 
 
 def assert_trace_is_its_row(verdict, columns, i: int) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from candlegate.forecaster import Side, drift_forecast, side_of
+from candlegate.forecaster import drift_forecast, is_up
 from candlegate.market_data import Series
 from candlegate.rule_engine import TAIL_MIN_FRACTION, Predicate, Rule
 
@@ -47,9 +47,7 @@ def make_regime_series(
     for t in range(lookback - 1, n - horizon):
         w = plain.window(t - lookback + 1, t + 1)
         forecast = drift_forecast(w, horizon)
-        predicted = side_of(forecast.path[-1], float(closes[t]))
-        realized = Side.UP if closes[t + horizon] > closes[t] else Side.DOWN
-        correct[t] = predicted == realized
+        correct[t] = is_up(forecast.path[-1], float(closes[t])) == is_up(closes[t + horizon], closes[t])
 
     rows = []
     for i, c in enumerate(closes):

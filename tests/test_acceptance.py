@@ -6,7 +6,6 @@ Run `pytest -s tests/test_acceptance.py` to see every line as it executes.
 import time
 
 import numpy as np
-import pytest
 
 from candlegate.cli import main
 from candlegate.evaluation import (

@@ -11,15 +11,15 @@ import pytest
 from candlegate import cli
 from candlegate.cli import main
 from candlegate.evaluation import (
-    EvalConfig, emit_forecast_trace, forecast_trace_chunks, train_gate_on_series, walk_forward,
+    EvalConfig, forecast_trace_chunks, train_gate_on_series, walk_forward,
 )
 from candlegate.forecaster import Forecast, drift_forecast, load_external_forecasts, save_external_forecasts
-from candlegate.market_data import BLOCK, CSV_HEADER, Series, format_timestamp, parse_csv, serialize_csv
+from candlegate.market_data import BLOCK, CSV_HEADER, Series, format_timestamp, parse_csv
 from candlegate.reliability_gate import model_from_json
 from candlegate.rule_engine import bottoming_tail_rule
 
 from conftest import (
-    BACKTEST_FIXTURE, BTC_FIXTURE, PLANTED_FIXTURE, candle_rows, make_series, series_from_rows,
+    BACKTEST_FIXTURE, BTC_FIXTURE, PLANTED_FIXTURE, candle_rows, make_series, serialize_csv, series_from_rows,
 )
 
 STATS_SENTENCE = (
@@ -194,6 +194,23 @@ def test_train_gate_and_reuse(tmp_path, capsys):
     assert model.dim == 8
     code = main(["backtest", str(BACKTEST_FIXTURE), *BT_ARGS, "--gate-model", str(model_path)])
     assert code == 0
+
+
+def test_backtest_rejects_a_gate_trained_on_other_features(tmp_path, capsys):
+    """A gate whose feature names differ from the run's (the first two swapped, the
+    rest renamed) is refused, naming the first feature that differs."""
+    model_path = tmp_path / "gate.json"
+    assert main(["train-gate", str(BACKTEST_FIXTURE), *BT_ARGS, "--out", str(model_path)]) == 0
+    payload = json.loads(model_path.read_text())
+    first, second, *rest = payload["feature_names"]
+    payload["feature_names"] = [second, first, *(f"other_{name}" for name in rest)]
+    model_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = main(["backtest", str(BACKTEST_FIXTURE), *BT_ARGS, "--gate-model", str(model_path)])
+    assert code == 1
+    assert capsys.readouterr() == (
+        "", "error: gate model feature 0 is 'volatility', but the rules give 'predicted_move'\n"
+    )
 
 
 def test_train_gate_rejects_unknown_required_rule(tmp_path, capsys):
@@ -625,7 +642,7 @@ def _daily_series(n: int, flavour: str, seed: int) -> Series:
 @pytest.mark.parametrize("flavour", ["iso", "epoch"])
 @pytest.mark.parametrize("interval", [True, False])
 def test_streamed_trace_equals_the_whole_trace(rows, flavour, interval, tmp_path, monkeypatch, capsys):
-    """The file backtest writes block by block holds the bytes of emit_forecast_trace."""
+    """The file backtest writes block by block holds the bytes of the joined trace chunks."""
     monkeypatch.chdir(tmp_path)
     lookback, horizon = 90, 3
     series = _daily_series(rows + lookback - 1 + horizon, flavour, seed=rows)
@@ -647,7 +664,7 @@ def test_streamed_trace_equals_the_whole_trace(rows, flavour, interval, tmp_path
     [(parsed, table)] = calls
     assert len(table) == rows and (table.forecasts.lower is None) != interval
     assert {"true", "false"} <= {line.rsplit(",", 1)[1] for line in Path("trace.csv").read_text().splitlines()[1:]}
-    assert Path("trace.csv").read_bytes() == emit_forecast_trace(table, parsed).encode("utf-8")
+    assert Path("trace.csv").read_bytes() == "".join(forecast_trace_chunks(table, parsed)).encode("utf-8")
 
 
 def _traced_peak(write) -> int:
@@ -661,8 +678,7 @@ def _traced_peak(write) -> int:
 
 def test_trace_writer_memory_is_bounded_by_the_block(tmp_path):
     """Writing the trace of 16 blocks of origins peaks at most 1.5x as high as writing
-    that of 4 blocks, while emit_forecast_trace, which holds the whole text, grows
-    with the table."""
+    that of 4 blocks, while the joined text of the chunks grows with the table."""
     lookback, horizon, rules = 90, 3, [bottoming_tail_rule()]
     cfg, cases = EvalConfig(lookback, horizon, train_fraction=0.0), {}
     for blocks in (4, 16):
@@ -673,7 +689,7 @@ def test_trace_writer_memory_is_bounded_by_the_block(tmp_path):
         path = tmp_path / f"trace_{blocks}.csv"
         cli._write_chunks(path, forecast_trace_chunks(table, series))  # warm-up
         streamed = _traced_peak(lambda: cli._write_chunks(path, forecast_trace_chunks(table, series)))
-        whole = _traced_peak(lambda: emit_forecast_trace(table, series))
+        whole = _traced_peak(lambda: "".join(forecast_trace_chunks(table, series)))
         cases[blocks] = streamed, whole, path.stat().st_size
     (streamed_4, whole_4, size_4), (streamed_16, whole_16, size_16) = cases[4], cases[16]
     assert size_16 > 3.9 * size_4

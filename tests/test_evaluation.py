@@ -13,8 +13,8 @@ from candlegate.evaluation import (
     MetricsRow,
     _origin_splits,
     apply_threshold,
-    emit_forecast_trace,
     f1_score,
+    forecast_trace_chunks,
     parse_report_csv,
     parse_report_json,
     report,
@@ -23,7 +23,7 @@ from candlegate.evaluation import (
     walk_forward,
 )
 from candlegate.forecaster import Forecasts, Side, drift_forecast
-from candlegate.reliability_gate import GateModel, decide
+from candlegate.reliability_gate import GateModel, decide, feature_names
 from candlegate.rule_engine import bottoming_tail_rule
 
 from conftest import assert_trace_is_its_row, candle_rows, make_series, series_from_rows
@@ -31,13 +31,16 @@ from oracles import confusion_counts
 from synthetic import make_regime_series, regime_flag_rule
 
 
-def _zero_gate(dim=7, threshold=0.5):
+def _zero_gate(rules=(), threshold=0.5):
+    """A gate over the features of these rules whose every score is 0.5."""
+    names = feature_names([rule.name for rule in rules])
+    dim = len(names)
     return GateModel(
         weights=(0.0,) * dim,
         threshold=threshold,
         feature_means=(0.0,) * dim,
         feature_stds=(1.0,) * dim,
-        feature_names=tuple(f"f{i}" for i in range(dim)),
+        feature_names=names,
     )
 
 
@@ -95,9 +98,12 @@ def test_walk_forward_is_deterministic():
     series = make_series(rng, 60)
     cfg = EvalConfig(lookback=10, horizon=3, train_fraction=0.5)
     rules = [regime_flag_rule()]
-    r1 = walk_forward(series, drift_forecast, None, rules, cfg)
-    r2 = walk_forward(series, drift_forecast, None, rules, cfg)
-    assert list(r1) == list(r2)
+
+    def run():
+        gate = train_gate_on_series(series, drift_forecast, rules, cfg)
+        return list(walk_forward(series, drift_forecast, gate, rules, cfg))
+
+    assert run() == run()
 
 
 def test_training_embargo_excludes_overlapping_horizons():
@@ -283,7 +289,7 @@ def test_forecast_trace_shape_and_join():
     series = make_series(rng, 40)
     cfg = EvalConfig(lookback=10, horizon=7, train_fraction=0.0)
     records = walk_forward(series, drift_forecast, _zero_gate(), [], cfg)
-    text = emit_forecast_trace(records, series)
+    text = "".join(forecast_trace_chunks(records, series))
     lines = text.splitlines()
     assert lines[0] == "origin_timestamp,step,predicted,lower,upper,actual,executed"
     body = lines[1:]
@@ -328,7 +334,7 @@ def _regime_records_with_required_rule():
     series = make_regime_series(600, lookback=20, horizon=5, seed=3)
     rules = [regime_flag_rule()]
     cfg = EvalConfig(lookback=20, horizon=5, train_fraction=0.0, required_rules=(rules[0].name,))
-    gate = _zero_gate(dim=8)
+    gate = _zero_gate(rules)
     return gate, walk_forward(series, drift_forecast, gate, rules, cfg)
 
 
@@ -370,7 +376,7 @@ def test_rows_read_on_demand_agree_with_the_columns(required):
     series = make_regime_series(600, lookback=20, horizon=5, seed=3)
     rules = [regime_flag_rule(), bottoming_tail_rule(15)]
     cfg = EvalConfig(lookback=20, horizon=5, train_fraction=0.0, required_rules=required)
-    gate = _zero_gate(dim=9)  # every score is 0.5, exactly the threshold
+    gate = _zero_gate(rules)  # every score is 0.5, exactly the threshold
     table = walk_forward(series, drift_forecast, gate, rules, cfg)
     rows = list(table)
     assert len(rows) == len(table) and table[-1] == rows[-1]
@@ -463,7 +469,7 @@ def test_gate_and_table_do_not_depend_on_the_block_size(block, monkeypatch):
         gate = train_gate_on_series(series, drift_forecast, rules, cfg)
         table = walk_forward(series, drift_forecast, gate, rules, cfg)
         assert 0 < np.count_nonzero(table.executed) < len(table)
-        return gate, _table_bytes(table), emit_forecast_trace(table, series)
+        return gate, _table_bytes(table), "".join(forecast_trace_chunks(table, series))
 
     monkeypatch.setattr(indicators, "BLOCK", len(series))
     one_block = run()

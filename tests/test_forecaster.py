@@ -15,7 +15,6 @@ from candlegate.forecaster import (
     ExternalForecaster,
     Forecast,
     Forecasts,
-    Side,
     coverage_z,
     drift_forecast,
     is_up,
@@ -23,10 +22,9 @@ from candlegate.forecaster import (
     load_external_forecasts,
     naive_forecast,
     save_external_forecasts,
-    side_of,
 )
 from candlegate.indicators import volatilities
-from candlegate.market_data import BLOCK, ParseError, parse_csv, serialize_csv
+from candlegate.market_data import BLOCK, ParseError
 
 from conftest import make_series, make_window, series_from_rows
 from oracles import least_squares_line, load_forecast_rows
@@ -121,10 +119,10 @@ def test_linreg_requires_two_points():
 def test_direction_basic_and_tie():
     f_up = Forecast(0, (101.0,))
     f_tie = Forecast(0, (100.0,))
-    assert side_of(f_up.path[-1], 100.0) is Side.UP
-    assert side_of(f_tie.path[-1], 100.0) is Side.DOWN
-    assert side_of(100.0, 100.0) is Side.DOWN
-    assert side_of(float(np.nextafter(100.0, 101.0)), 100.0) is Side.UP
+    assert is_up(f_up.path[-1], 100.0) is True
+    assert is_up(f_tie.path[-1], 100.0) is False
+    assert is_up(100.0, 100.0) is False
+    assert is_up(float(np.nextafter(100.0, 101.0)), 100.0) is True
     assert is_up(np.array([101.0, 100.0, np.nextafter(100.0, 99.0)]), 100.0).tolist() == [True, False, False]
 
 
@@ -136,7 +134,7 @@ def test_direction_scale_invariant():
         scale = float(rng.uniform(0.1, 10))
         f = Forecast(0, path)
         f_scaled = Forecast(0, tuple(v * scale for v in path))
-        assert side_of(f.path[-1], last) == side_of(f_scaled.path[-1], last * scale)
+        assert is_up(f.path[-1], last) == is_up(f_scaled.path[-1], last * scale)
 
 
 def test_direction_agrees_with_predicted_return_sign():
@@ -146,8 +144,7 @@ def test_direction_agrees_with_predicted_return_sign():
         path = tuple(float(v) for v in rng.uniform(50, 150, size=3))
         f = Forecast(0, path)
         predicted_return = (path[-1] - last) / last
-        expected = Side.UP if predicted_return > 0 else Side.DOWN
-        assert side_of(f.path[-1], last) == expected
+        assert is_up(f.path[-1], last) == (predicted_return > 0)
 
 
 @pytest.mark.parametrize("builder", [naive_forecast, drift_forecast], ids=["naive_forecast", "drift_forecast"])

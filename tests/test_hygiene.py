@@ -1,4 +1,4 @@
-"""Static checks of the package source, with the standard library's ``ast`` alone."""
+"""Static checks of the package and test source, with the standard library's ``ast`` alone."""
 
 import ast
 from collections import Counter
@@ -6,8 +6,13 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "candlegate"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "candlegate"
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+TEST_MODULES = {
+    ".".join(("tests", *path.relative_to(TESTS).with_suffix("").parts)): ast.parse(path.read_text(encoding="utf-8"))
+    for path in sorted(TESTS.rglob("*.py"))
+}
 
 
 def _read_names(node: ast.AST) -> set[str]:
@@ -30,9 +35,9 @@ def _defined_names(statement: ast.stmt) -> list[str]:
     return [target.id for target in targets if isinstance(target, ast.Name)]
 
 
-@pytest.mark.parametrize("module", sorted(set(MODULES) - {"__init__"}))
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {"__init__"}) + sorted(TEST_MODULES))
 def test_every_import_is_used(module):
-    tree = MODULES[module]
+    tree = (MODULES | TEST_MODULES)[module]
     loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     imported = [
         alias.asname or alias.name.split(".")[0]

@@ -33,6 +33,7 @@ from candlegate.reliability_gate import (
     GateModel,
     decide,
     extract_features,
+    feature_names,
     feature_rows,
     model_to_json,
     score,
@@ -52,14 +53,17 @@ from oracles import brute_force_bottoming_tail, least_squares_line
 HYPOTHESIS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
-def _gate(dim: int, seed: int = 0, threshold: float = 0.5) -> GateModel:
+def _gate(rules, seed: int = 0, threshold: float = 0.5) -> GateModel:
+    """A random gate over the features of these rules."""
+    names = feature_names([rule.name for rule in rules])
+    dim = len(names)
     rng = np.random.default_rng(seed)
     return GateModel(
         weights=tuple(rng.normal(size=dim).tolist()),
         threshold=threshold,
         feature_means=tuple(rng.normal(0.0, 0.01, size=dim).tolist()),
         feature_stds=tuple(rng.uniform(0.01, 1.0, size=dim).tolist()),
-        feature_names=tuple(f"f{i}" for i in range(dim)),
+        feature_names=names,
     )
 
 
@@ -110,6 +114,25 @@ def test_one_row_envelope_equals_its_row_of_the_block_call():
             assert not constant.flags.writeable
             with pytest.raises(ValueError):
                 constant[0] = 1.0
+
+
+def test_resistance_is_the_support_of_the_negated_values_bit_for_bit():
+    """envelope_lines(h, RESISTANCE) is 0.0 - envelope_lines(-h, SUPPORT) in every bit,
+    for (N, L) blocks and bare rows.  Plain negation is not: on flat and tied rows it
+    gives -0.0 where the resistance fit gives 0.0, and 0.0 - x maps both zeros to 0.0."""
+    rng = np.random.default_rng(12)
+    for length in (*range(2, 40), 90, 110, 257):
+        shape = (40, length)
+        block = np.concatenate([
+            rng.normal(100.0, 10.0, size=shape) * rng.uniform(0.01, 100.0),
+            rng.choice([99.0, 100.0, 101.0], size=shape),  # tie-heavy
+            np.full(shape, 100.0),
+            np.round(rng.uniform(50.0, 150.0, size=shape), 2),  # cent-rounded
+        ])
+        for values in (block, *block[::20]):
+            resistance = np.array(envelope_lines(values, RESISTANCE))
+            mirrored = 0.0 - np.array(envelope_lines(-values, SUPPORT))
+            assert np.array_equal(resistance.view(np.int64), mirrored.view(np.int64)), length
 
 
 @st.composite
@@ -177,7 +200,8 @@ def test_one_origin_calls_equal_their_batch_rows(case):
     length = max(length, 5)
     ends = ends[ends >= length]
     if ends.size:
-        _assert_rows_match_one_origin(series, ends, length, _gate(8), bottoming_tail_rule(min(length, 5)))
+        rule = bottoming_tail_rule(min(length, 5))
+        _assert_rows_match_one_origin(series, ends, length, _gate([rule]), rule)
 
 
 @pytest.mark.parametrize("n", BOUNDARY_SIZES)
@@ -185,7 +209,8 @@ def test_one_origin_calls_equal_their_rows_at_block_boundaries(n):
     length = 30
     series = make_series(np.random.default_rng(n), length + n)
     ends = np.arange(length, length + n)
-    _assert_rows_match_one_origin(series, ends, length, _gate(8, seed=n), bottoming_tail_rule(20))
+    rule = bottoming_tail_rule(20)
+    _assert_rows_match_one_origin(series, ends, length, _gate([rule], seed=n), rule)
 
 
 @pytest.mark.parametrize("n", BOUNDARY_SIZES)
@@ -193,7 +218,7 @@ def test_walk_forward_decides_like_one_origin_calls_across_blocks(n):
     lookback, horizon = 25, 3
     series = make_series(np.random.default_rng(100 + n), lookback - 1 + n + horizon)
     rule = bottoming_tail_rule(20)
-    gate = _gate(8, seed=n)
+    gate = _gate([rule], seed=n)
     cfg = EvalConfig(lookback=lookback, horizon=horizon, train_fraction=0.0,
                      required_rules=(rule.name,))
     records = walk_forward(series, drift_forecast, gate, [rule], cfg)
@@ -227,12 +252,13 @@ def test_doji_inside_a_block_warns_nothing_and_fails_fractions():
         if predicate.kind in ("tail_min_fraction", "body_in_upper_half", "close_top_fraction"):
             assert not passed[doji].any() and (measured[doji] == 0.0).all()
     cfg = EvalConfig(lookback=12, horizon=2, train_fraction=0.5)
-    assert len(walk_forward(series, drift_forecast, None, [rule], cfg)) > 0
+    gate = train_gate_on_series(series, drift_forecast, [rule], cfg)
+    assert len(walk_forward(series, drift_forecast, gate, [rule], cfg)) > 0
 
 
 def test_score_equal_to_threshold_executes():
     # Zero weights score exactly 0.5; the gate executes at score >= threshold.
-    gate = GateModel((0.0,) * 7, 0.5, (0.0,) * 7, (1.0,) * 7, tuple(f"f{i}" for i in range(7)))
+    gate = GateModel((0.0,) * 7, 0.5, (0.0,) * 7, (1.0,) * 7, feature_names([]))
     series = make_series(np.random.default_rng(6), 60)
     cfg = EvalConfig(lookback=10, horizon=2, train_fraction=0.0)
     records = walk_forward(series, drift_forecast, gate, [], cfg)
@@ -270,9 +296,10 @@ def test_backtest_never_falls_back_to_one_origin_calls(monkeypatch):
     series = make_series(np.random.default_rng(7), 2_000)
     rule = bottoming_tail_rule()
     cfg = EvalConfig(lookback=110, horizon=7, train_fraction=0.7, required_rules=(rule.name,))
-    table = walk_forward(series, counting_forecaster, None, [rule], cfg)
+    gate = train_gate_on_series(series, counting_forecaster, [rule], cfg)
+    table = walk_forward(series, counting_forecaster, gate, [rule], cfg)
     evaluation.summarize(table, "drift")
-    evaluation.emit_forecast_trace(table, series)
+    "".join(evaluation.forecast_trace_chunks(table, series))
     train_origins, eval_origins = evaluation._origin_splits(series, cfg)
     assert calls == []
     assert origins == train_origins + eval_origins
@@ -310,9 +337,10 @@ def test_cli_forecasters_make_no_one_window_calls_and_build_no_forecast(model, m
     resolved = _resolve_forecaster(model, 0.8, series, cfg.horizon)
     calls = []
     _spy_on_one_window_forecasts(monkeypatch, calls)
-    table = walk_forward(series, resolved, None, [rule], cfg)
+    gate = train_gate_on_series(series, resolved, [rule], cfg)
+    table = walk_forward(series, resolved, gate, [rule], cfg)
     evaluation.summarize(table, model)
-    evaluation.emit_forecast_trace(table, series)
+    "".join(evaluation.forecast_trace_chunks(table, series))
     assert calls == []
     table[0]  # a row read builds its forecast
     assert calls == ["Forecast"]

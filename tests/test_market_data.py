@@ -18,10 +18,9 @@ from candlegate.market_data import (
     _parse_timestamp,
     _timestamps,
     parse_csv,
-    serialize_csv,
 )
 
-from conftest import make_series, series_from_rows
+from conftest import make_series, serialize_csv, series_from_rows
 from oracles import first_row_fault
 
 HEADER = "timestamp,open,high,low,close,volume"

@@ -8,7 +8,6 @@ from candlegate.prompt_prefix import (
     BITCOIN_DOMAIN,
     PromptConfig,
     build_prompt,
-    format_number,
 )
 
 from conftest import make_series
@@ -88,17 +87,10 @@ def test_section_order_is_fixed(btc_series):
 
 def test_flat_line_sequence_trims_zeros(btc_series):
     w = btc_series.window(0, len(btc_series))
-    flat = TrendLine(slope=0.0, intercept=7.0, kind="support")
-    text = build_prompt(w, flat, DEMO_RESISTANCE, _demo_config(line_samples=3))
-    assert "[7 7 7]" in text
-
-
-def test_format_number():
-    assert format_number(26511.2, 1) == "26511.2"
-    assert format_number(38379.90, 1) == "38379.9"
-    assert format_number(38379.905, 2) == "38379.9"
-    assert format_number(100.0, 2) == "100"
-    assert format_number(0.5, 0) == "0"  # round-half-even at integer precision
+    for intercept, value in ((7.0, "7"), (100.0, "100"), (38379.90, "38379.9"), (38379.905, "38379.9")):
+        flat = TrendLine(slope=0.0, intercept=intercept, kind="support")
+        text = build_prompt(w, flat, DEMO_RESISTANCE, _demo_config(line_samples=3))
+        assert f"[{value} {value} {value}]" in text
 
 
 def test_config_validation():

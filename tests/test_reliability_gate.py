@@ -18,9 +18,9 @@ from candlegate.reliability_gate import (
     score,
     train,
 )
-from candlegate.rule_engine import Predicate, Rule, RuleVerdict, TraceEntry, evaluate_rule
+from candlegate.rule_engine import RuleVerdict, TraceEntry
 
-from conftest import make_series, make_window, series_from_rows
+from conftest import make_series, series_from_rows
 
 
 def _flat_series(n=20, price=100.0):
@@ -33,14 +33,15 @@ def _verdict(name, passed):
     return RuleVerdict(rule=name, passed=passed, trace=(entry,))
 
 
-def _model(weights, threshold=0.5):
+def _model(weights, threshold=0.5, names=None):
+    """A gate with these weights; a walk-forward passes the names of its rules' features."""
     dim = len(weights)
     return GateModel(
         weights=tuple(weights),
         threshold=threshold,
         feature_means=(0.0,) * dim,
         feature_stds=(1.0,) * dim,
-        feature_names=tuple(f"f{i}" for i in range(dim)),
+        feature_names=tuple(f"f{i}" for i in range(dim)) if names is None else names,
     )
 
 
@@ -82,7 +83,7 @@ def _label_bits(series, path_end, horizon):
     bit columns, for forecasts ending at path_end(origin) over lookback 2."""
     forecaster = lambda w, h: Forecast(w.end - 1, (path_end(w.end - 1),) * h)
     cfg = EvalConfig(lookback=2, horizon=horizon, train_fraction=0.0)
-    table = walk_forward(series, forecaster, _model([0.0] * 7), [], cfg)
+    table = walk_forward(series, forecaster, _model([0.0] * 7, names=feature_names([])), [], cfg)
     return table.origins.tolist(), (table.predicted_up == table.realized_up).tolist()
 
 
