@@ -31,7 +31,7 @@ from .forecaster import save_external_forecasts
 from .market_data import Series, Window, format_timestamp, parse_csv
 from .indicators import blocks, fit_resistance_line, fit_support_line, resample_line
 from .prompt_prefix import BITCOIN_DOMAIN, PromptConfig, build_prompt
-from .reliability_gate import model_from_json, model_to_json
+from .reliability_gate import _NUMBER, _has_kind, model_from_json, model_to_json
 from .rule_engine import bottoming_tail_rule, explain, predicate_columns, rule_passed, rule_verdicts
 from .rule_engine import required_positions
 
@@ -57,11 +57,8 @@ def _check_config_value(key: str, value) -> None:
         kind = "list of str"
         ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
     else:
-        # A float key also takes an int. JSON true/false load as bool, a
-        # subclass of int, and are rejected.
         kind = type(default).__name__
-        ok = isinstance(value, (int, float) if kind == "float" else type(default))
-        ok = ok and not isinstance(value, bool)
+        ok = _has_kind(value, _NUMBER if kind == "float" else type(default))  # a float key takes an int
     if not ok:
         raise ValueError(f"config file key {key!r} must be of type {kind}, got {value!r}")
     if key == "format" and value not in FORMATS:

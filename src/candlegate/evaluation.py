@@ -22,9 +22,11 @@ from .forecaster import Forecast, Forecasts, Side, forecasts_at, is_up
 from .indicators import blocks
 from .market_data import Series, format_timestamp
 from .reliability_gate import (
+    _NUMBER,
     GateDecision,
     GateModel,
     TrainingError,
+    _has_kind,
     executes,
     feature_names,
     feature_rows,
@@ -327,8 +329,7 @@ def parse_report_json(text: str | bytes) -> list[MetricsRow]:
             if f.name in ("model", "side"):
                 if not isinstance(value, str):
                     raise ValueError(f"report row {i}: {f.name} {value!r} is not a string")
-            # JSON true/false load as bool, which Python counts as an int.
-            elif value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            elif value is not None and not _has_kind(value, _NUMBER):
                 raise ValueError(f"report row {i}: {f.name} {value!r} is not a number")
         out.append(MetricsRow(**{f.name: row[f.name] for f in fields(MetricsRow)}))
     return out

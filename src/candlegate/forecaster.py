@@ -79,9 +79,8 @@ def _first_fault(paths: np.ndarray, lower=None, upper=None) -> tuple[int, str] |
 
 @dataclass(frozen=True)
 class Forecast:
-    """Point path over a horizon, optional central interval, known origin."""
+    """Point path over a horizon and an optional central interval; whatever holds it keys its origin."""
 
-    origin_index: int
     path: tuple[float, ...]
     lower: tuple[float, ...] | None = None
     upper: tuple[float, ...] | None = None
@@ -93,10 +92,10 @@ class Forecast:
             raise ValueError(fault[1])
 
     @classmethod
-    def _from_checked(cls, origin_index: int, path, lower=None, upper=None) -> "Forecast":
+    def _from_checked(cls, path, lower=None, upper=None) -> "Forecast":
         """A Forecast of values whose invariants were already checked."""
         forecast = cls.__new__(cls)
-        forecast.__dict__.update(origin_index=origin_index, path=path, lower=lower, upper=upper)
+        forecast.__dict__.update(path=path, lower=lower, upper=upper)
         return forecast
 
     @property
@@ -106,29 +105,26 @@ class Forecast:
 
 @dataclass(frozen=True, eq=False)
 class Forecasts(Sequence):
-    """Forecasts at N origins as read-only columns: ``origins`` (N,), ``paths``
-    (N, H) and the optional interval bounds ``lower`` and ``upper`` (N, H).
+    """Forecasts at N origins as read-only columns: ``paths`` (N, H) and the
+    optional interval bounds ``lower`` and ``upper`` (N, H).  Row i is the
+    forecast at the i-th origin of whoever holds the columns.
 
     Construction copies the columns and checks every row at once.  As a
     sequence it holds Forecasts, each built only when read.
     """
 
-    origins: np.ndarray
     paths: np.ndarray
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
 
     def __post_init__(self):
-        for name, dtype in (("origins", np.int64), ("paths", np.float64), ("lower", np.float64),
-                            ("upper", np.float64)):
+        for name in ("paths", "lower", "upper"):
             if getattr(self, name) is not None:
-                column = np.array(getattr(self, name), dtype=dtype)
+                column = np.array(getattr(self, name), dtype=np.float64)
                 column.flags.writeable = False
                 object.__setattr__(self, name, column)
-        if self.paths.ndim != 2 or self.origins.shape != self.paths.shape[:1]:
-            raise ValueError(
-                f"need origins (N,) and paths (N, H), got shapes {self.origins.shape} and {self.paths.shape}"
-            )
+        if self.paths.ndim != 2:
+            raise ValueError(f"need paths (N, H), got shape {self.paths.shape}")
         fault = _first_fault(self.paths, self.lower, self.upper)
         if fault is not None:
             raise ValueError(fault[1])
@@ -146,7 +142,7 @@ class Forecasts(Sequence):
         interval = ()
         if with_interval == {True}:
             interval = ([f.lower for f in forecasts], [f.upper for f in forecasts])
-        return cls([f.origin_index for f in forecasts], [f.path for f in forecasts], *interval)
+        return cls([f.path for f in forecasts], *interval)
 
     @property
     def horizon(self) -> int:
@@ -155,20 +151,20 @@ class Forecasts(Sequence):
     def take(self, rows: np.ndarray) -> "Forecasts":
         """The forecasts of the given rows, in that order."""
         interval = () if self.lower is None else (self.lower[rows], self.upper[rows])
-        return Forecasts(self.origins[rows], self.paths[rows], *interval)
+        return Forecasts(self.paths[rows], *interval)
 
     def __len__(self) -> int:
-        return len(self.origins)
+        return len(self.paths)
 
     def __getitem__(self, i: int) -> Forecast:
         i = range(len(self))[i]
-        return _row(self.origins.item(i), i, self.paths, self.lower, self.upper)
+        return _row(i, self.paths, self.lower, self.upper)
 
 
-def _row(origin: int, i: int, paths, lower, upper) -> Forecast:
+def _row(i: int, paths, lower, upper) -> Forecast:
     """Row i of checked columns as a Forecast."""
     interval = () if lower is None else (tuple(lower[i].tolist()), tuple(upper[i].tolist()))
-    return Forecast._from_checked(origin, tuple(paths[i].tolist()), *interval)
+    return Forecast._from_checked(tuple(paths[i].tolist()), *interval)
 
 
 @lru_cache(maxsize=64)
@@ -250,10 +246,7 @@ class BlockForecaster:
 
 @dataclass(frozen=True)
 class Baseline(BlockForecaster):
-    """A baseline kernel, run on the gathered windows of each block of origins.
-
-    Called on one window, it runs the kernel on that window's row alone.
-    """
+    """A baseline kernel, run on the gathered windows of each block of origins."""
 
     kernel: Callable
     coverage: float = DEFAULT_COVERAGE
@@ -263,14 +256,17 @@ class Baseline(BlockForecaster):
             self.kernel(series.closes[window_index(block + 1, lookback)], horizon, self.coverage)
             for block in blocks(origins)
         ]
-        return Forecasts(origins, *map(np.concatenate, zip(*parts)))
+        return Forecasts(*map(np.concatenate, zip(*parts)))
 
     def __call__(self, w: Window, horizon: int) -> Forecast:
+        """The kernel on the window's closes as one row.  This skips the index
+        gather and block loop of ``BlockForecaster.__call__``, about a third of a
+        one-window forecast and a tenth of a one-origin decision."""
         columns = self.kernel(w.closes[None, :], horizon, self.coverage)
         fault = _first_fault(*columns)
         if fault is not None:
             raise ValueError(fault[1])
-        return _row(w.end - 1, 0, *columns)
+        return _row(0, *columns)
 
 
 naive_forecast = Baseline(_naive)  # the last close; the interval widens with sqrt(step)
@@ -312,7 +308,7 @@ class ExternalForecaster(BlockForecaster):
             )
         order = np.argsort(loaded.timestamps, kind="stable")
         columns = loaded.values.reshape(len(order), horizon, -1)[order]
-        return cls(loaded.timestamps[order], Forecasts(loaded.origins[order], *np.moveaxis(columns, -1, 0)))
+        return cls(loaded.timestamps[order], Forecasts(*np.moveaxis(columns, -1, 0)))
 
     def forecasts(self, series: Series, origins: np.ndarray, lookback: int, horizon: int) -> Forecasts:
         if horizon != self.table.horizon:
@@ -343,14 +339,12 @@ def forecasts_at(forecaster, series: Series, origins: np.ndarray, lookback: int,
 class ExternalColumns(NamedTuple):
     """A loaded external forecast file as columns, one origin per group of rows.
 
-    ``timestamps`` and ``origins`` (the series index, or -1) are (G,) in file
-    order; group g holds rows ``bounds[g]:bounds[g + 1]`` of ``values``, whose
-    columns are the path and, if given, the lower and upper bounds, with
-    each group's rows in step order.
+    ``timestamps`` is (G,) in file order; group g holds rows ``bounds[g]:bounds[g + 1]``
+    of ``values``, whose columns are the path and, if given, the lower and upper
+    bounds, with each group's rows in step order.
     """
 
     timestamps: np.ndarray
-    origins: np.ndarray
     bounds: np.ndarray
     values: np.ndarray
 
@@ -407,7 +401,7 @@ def read_external_forecasts(text: str | bytes, series: Series | None = None) -> 
 
     Rows must be grouped by origin with steps contiguous from 1, and every
     value must be finite.  When a series is supplied, each origin timestamp
-    must exist in it exactly and ``origins`` holds the matching index.
+    must exist in it exactly.
     Malformed input raises ParseError with the line number (of the origin's
     first row for errors that span a whole origin).
     """
@@ -443,11 +437,10 @@ def read_external_forecasts(text: str | bytes, series: Series | None = None) -> 
     # Every check of a whole origin at once; the first faulty origin is reported.
     gapped = np.zeros(len(starts), dtype=bool)
     gapped[group[steps != np.arange(len(ts)) - starts[group] + 1]] = True
-    origins = np.full(len(starts), -1)
     absent = np.zeros(len(starts), dtype=bool)
     if series is not None and len(starts):
-        origins = np.searchsorted(series.timestamps, ts[starts])
-        absent = series.timestamps[np.minimum(origins, len(series) - 1)] != ts[starts]
+        at = np.searchsorted(series.timestamps, ts[starts])
+        absent = series.timestamps[np.minimum(at, len(series) - 1)] != ts[starts]
     faulty = gapped | absent
     value_fault = _first_fault(*values.T) if len(values) else None
     if value_fault is not None:
@@ -462,7 +455,7 @@ def read_external_forecasts(text: str | bytes, series: Series | None = None) -> 
         if absent[g]:
             raise ParseError(f"origin {label} not present in series {series.symbol!r}", line=line)
         raise ParseError(f"origin {label}: {value_fault[1]}", line=line)
-    return ExternalColumns(ts[starts], origins, bounds, values)
+    return ExternalColumns(ts[starts], bounds, values)
 
 
 def load_external_forecasts(
@@ -473,10 +466,8 @@ def load_external_forecasts(
     columns = [column.tolist() for column in loaded.values.T]
     bounds = loaded.bounds.tolist()
     return [
-        (ts, Forecast._from_checked(origin, *(tuple(c[start:end]) for c in columns)))
-        for ts, origin, start, end in zip(
-            loaded.timestamps.tolist(), loaded.origins.tolist(), bounds, bounds[1:]
-        )
+        (ts, Forecast._from_checked(*(tuple(c[start:end]) for c in columns)))
+        for ts, start, end in zip(loaded.timestamps.tolist(), bounds, bounds[1:])
     ]
 
 

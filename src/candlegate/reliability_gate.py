@@ -247,7 +247,8 @@ def model_to_json(model: GateModel) -> str:
 
 
 def _has_kind(value, kind) -> bool:
-    # JSON true/false load as bool, which Python counts as an int.
+    """isinstance(value, kind) for a value loaded from JSON.  JSON true/false load as
+    bool, which Python counts as an int, so they are never numbers."""
     return isinstance(value, kind) and not isinstance(value, bool)
 
 

@@ -42,6 +42,11 @@ def serialize_csv(series: Series) -> str:
     return "\n".join(lines) + "\n"
 
 
+def forecast_bits(forecast) -> tuple[bytes, ...]:
+    """A Forecast's path and interval bounds as bytes, for bit-for-bit comparison."""
+    return tuple(np.array(c).tobytes() for c in (forecast.path, forecast.lower, forecast.upper))
+
+
 def assert_trace_is_its_row(verdict, columns, i: int) -> None:
     """Each trace entry holds row i of its predicate's column triple, bit for bit."""
     assert len(verdict.trace) == len(columns)

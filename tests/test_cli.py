@@ -183,7 +183,7 @@ def test_forecast_output_reimports(tmp_path, capsys, backtest_series):
     items = load_external_forecasts(out_path.read_bytes(), series=backtest_series)
     assert len(items) == 1
     assert items[0][1].horizon == 7
-    assert items[0][1].origin_index == len(backtest_series) - 1
+    assert items[0][0] == int(backtest_series.timestamps[-1])
 
 
 def test_train_gate_and_reuse(tmp_path, capsys):
@@ -275,6 +275,8 @@ def _gate_payload(**changes):
         (_gate_payload(threshold="0.5"), "'threshold' must be a number"),
         (_gate_payload(feature_means=[0.0] * 7), "differ in length"),
         (_gate_payload(feature_stds=[0.0] * 8), "stds must be finite and > 0"),
+        (_gate_payload(threshold=True), "'threshold' must be a number"),
+        (_gate_payload(weights=[True] + [0.0] * 7), "'weights' must be a list of numbers"),
     ],
 )
 def test_backtest_rejects_malformed_gate_model(tmp_path, capsys, payload, message):
@@ -389,8 +391,11 @@ def test_report_command_renders_json(tmp_path, capsys):
         ("rows.json", '[{"model": "a", "side": "Up", "accuracy": "50%", "precision": null, '
          '"recall": null, "f1": null, "execution_rate": 1.0}]', "report row 1: accuracy '50%'"),
         ("rows.json", '[["a", "Up"]]', "report row 1 is not an object"),
+        ("rows.json", '[{"model": "a", "side": "Up", "accuracy": true, "precision": null, '
+         '"recall": null, "f1": null, "execution_rate": 1.0}]', "report row 1: accuracy True is not a number"),
     ],
-    ids=["csv_field_count", "csv_non_numeric", "json_missing_key", "json_wrong_type", "json_not_object"],
+    ids=["csv_field_count", "csv_non_numeric", "json_missing_key", "json_wrong_type", "json_not_object",
+         "json_bool"],
 )
 def test_report_rejects_malformed_rows(tmp_path, capsys, name, text, message):
     path = tmp_path / name
@@ -431,6 +436,7 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         ({"threshold": "0.5"}, "'threshold' must be of type float"),
         ({"required_rules": "bottoming_tail_candle"}, "'required_rules' must be of type list of str"),
         ({"format": "xml"}, "'format' must be one of"),
+        ({"threshold": True}, "'threshold' must be of type float"),
     ],
 )
 def test_config_file_rejects_mistyped_values(tmp_path, capsys, config, message):
@@ -650,7 +656,7 @@ def test_streamed_trace_equals_the_whole_trace(rows, flavour, interval, tmp_path
     model = "drift"
     if not interval:
         items = [
-            (int(series.timestamps[o]), Forecast(o, drift_forecast(series.window(o + 1 - lookback, o + 1), horizon).path))
+            (int(series.timestamps[o]), Forecast(drift_forecast(series.window(o + 1 - lookback, o + 1), horizon).path))
             for o in range(lookback - 1, len(series))
         ]
         Path("ext.csv").write_text(save_external_forecasts(items, flavour), encoding="utf-8")

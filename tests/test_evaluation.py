@@ -22,11 +22,20 @@ from candlegate.evaluation import (
     train_gate_on_series,
     walk_forward,
 )
-from candlegate.forecaster import Forecasts, Side, drift_forecast
+from candlegate.forecaster import (
+    ExternalForecaster,
+    Forecast,
+    Forecasts,
+    Side,
+    drift_forecast,
+    load_external_forecasts,
+    save_external_forecasts,
+)
+from candlegate.market_data import BLOCK, Series
 from candlegate.reliability_gate import GateModel, decide, feature_names
 from candlegate.rule_engine import bottoming_tail_rule
 
-from conftest import assert_trace_is_its_row, candle_rows, make_series, series_from_rows
+from conftest import assert_trace_is_its_row, candle_rows, forecast_bits, make_series, series_from_rows
 from oracles import confusion_counts
 from synthetic import make_regime_series, regime_flag_rule
 
@@ -54,7 +63,7 @@ def _table(predicted_up, realized_up, scores, threshold=0.5, rules_ok=None):
         scores=scores,
         rules_ok=np.ones(n, dtype=bool) if rules_ok is None else rules_ok,
         threshold=threshold,
-        forecasts=Forecasts(np.arange(n), np.full((n, 2), 100.0)),
+        forecasts=Forecasts(np.full((n, 2), 100.0)),
     )
 
 
@@ -393,6 +402,28 @@ def test_rows_read_on_demand_agree_with_the_columns(required):
         assert r.decision.executed == table.executed[i]
 
 
+@pytest.mark.parametrize("with_interval", [False, True])
+def test_external_forecasts_loaded_against_a_series_join_a_later_slice_of_it(with_interval):
+    """Forecasts loaded against a series A and run on B = A[k:]: each record's forecast
+    is, bit for bit, the one loaded for B's timestamp at the record's origin."""
+    a, k, horizon = make_series(np.random.default_rng(42), 900), 100, 4
+    items = [(int(a.timestamps[o]), drift_forecast(a.window(o - 9, o + 1), horizon)) for o in range(9, len(a))]
+    if not with_interval:
+        items = [(ts, Forecast(f.path)) for ts, f in items]
+    text = save_external_forecasts(items, a.timestamp_format)
+    ext = ExternalForecaster.load(text.encode(), a, horizon)
+    by_ts = dict(load_external_forecasts(text, a))
+    b = Series(a.symbol, *(column[k:] for column in a.columns), a.timestamp_format)
+    rules = [bottoming_tail_rule(20)]
+    cfg = EvalConfig(lookback=25, horizon=horizon, train_fraction=0.5)
+    table = walk_forward(b, ext, train_gate_on_series(b, ext, rules, cfg), rules, cfg)
+    assert len(table) > BLOCK
+    for r in table:
+        assert forecast_bits(r.forecast) == forecast_bits(by_ts[int(b.timestamps[r.origin_index])])
+        # The same index in A names another origin, whose forecast differs.
+        assert r.forecast != by_ts[int(a.timestamps[r.origin_index])]
+
+
 def test_regated_reasons_name_the_new_threshold_and_keep_rule_lines():
     gate, records = _regime_records_with_required_rule()
     regated = apply_threshold(records, gate, 0.75)
@@ -452,7 +483,7 @@ def _table_bytes(table: EvalTable) -> list[bytes]:
     """Every column of a decision table, rule columns included, as bytes."""
     forecasts = table.forecasts
     columns = [table.origins, table.predicted_up, table.realized_up, table.scores, table.rules_ok,
-               forecasts.origins, forecasts.paths, forecasts.lower, forecasts.upper]
+               forecasts.paths, forecasts.lower, forecasts.upper]
     columns += [column for rule in table.rule_columns for triple in rule for column in triple]
     return [column.tobytes() for column in columns]
 

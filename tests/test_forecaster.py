@@ -40,7 +40,6 @@ def test_naive_path_repeats_last_close():
     s = _series_from_closes([98.0, 99.0, 100.0])
     f = naive_forecast(s.window(0, 3), horizon=3)
     assert f.path == (100.0, 100.0, 100.0)
-    assert f.origin_index == 2
     assert f.horizon == 3
 
 
@@ -117,8 +116,8 @@ def test_linreg_requires_two_points():
 
 
 def test_direction_basic_and_tie():
-    f_up = Forecast(0, (101.0,))
-    f_tie = Forecast(0, (100.0,))
+    f_up = Forecast((101.0,))
+    f_tie = Forecast((100.0,))
     assert is_up(f_up.path[-1], 100.0) is True
     assert is_up(f_tie.path[-1], 100.0) is False
     assert is_up(100.0, 100.0) is False
@@ -132,8 +131,8 @@ def test_direction_scale_invariant():
         last = float(rng.uniform(10, 1000))
         path = tuple(float(v) for v in rng.uniform(10, 1000, size=4))
         scale = float(rng.uniform(0.1, 10))
-        f = Forecast(0, path)
-        f_scaled = Forecast(0, tuple(v * scale for v in path))
+        f = Forecast(path)
+        f_scaled = Forecast(tuple(v * scale for v in path))
         assert is_up(f.path[-1], last) == is_up(f_scaled.path[-1], last * scale)
 
 
@@ -142,7 +141,7 @@ def test_direction_agrees_with_predicted_return_sign():
     for _ in range(100):
         last = float(rng.uniform(50, 150))
         path = tuple(float(v) for v in rng.uniform(50, 150, size=3))
-        f = Forecast(0, path)
+        f = Forecast(path)
         predicted_return = (path[-1] - last) / last
         assert is_up(f.path[-1], last) == (predicted_return > 0)
 
@@ -159,11 +158,11 @@ def test_interval_width_nondecreasing(builder):
 
 def test_forecast_interval_validation():
     with pytest.raises(ValueError):
-        Forecast(0, (100.0,), lower=(101.0,), upper=(102.0,))
+        Forecast((100.0,), lower=(101.0,), upper=(102.0,))
     with pytest.raises(ValueError):
-        Forecast(0, (100.0,), lower=(99.0,), upper=None)
+        Forecast((100.0,), lower=(99.0,), upper=None)
     with pytest.raises(ValueError):
-        Forecast(0, (100.0, 100.0), lower=(99.0,), upper=(101.0,))
+        Forecast((100.0, 100.0), lower=(99.0,), upper=(101.0,))
 
 
 NAN, INF = float("nan"), float("inf")
@@ -184,10 +183,10 @@ NAN, INF = float("nan"), float("inf")
 )
 def test_forecast_and_forecasts_share_the_invariants(path, lower, upper, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        Forecast(0, path, lower, upper)
+        Forecast(path, lower, upper)
     interval = () if lower is None else ([lower], [upper])
     with pytest.raises(ValueError, match=f"^{message}$"):
-        Forecasts([0], [path], *interval)
+        Forecasts([path], *interval)
 
 
 def test_forecasts_report_the_first_fault_of_the_first_faulty_row():
@@ -196,33 +195,33 @@ def test_forecasts_report_the_first_fault_of_the_first_faulty_row():
     lower[1, 2] = 100.5  # row 1 is not bracketed; row 2 is also non-finite
     paths[2, 0] = NAN
     with pytest.raises(ValueError, match="^interval must bracket the path pointwise$"):
-        Forecasts(np.arange(4), paths, lower, upper)
+        Forecasts(paths, lower, upper)
     lower[1, 2] = 99.0
     with pytest.raises(ValueError, match="^forecast values must be finite$"):
-        Forecasts(np.arange(4), paths, lower, upper)
+        Forecasts(paths, lower, upper)
 
 
 def test_forecasts_columns_are_read_only_copies_and_rows_read_as_forecasts():
     paths = np.array([[1.0, 2.0], [3.0, 4.0]])
-    forecasts = Forecasts([7, 9], paths, paths - 0.5, paths + 0.5)
+    forecasts = Forecasts(paths, paths - 0.5, paths + 0.5)
     paths[0, 0] = 99.0
     assert forecasts.paths[0, 0] == 1.0 and forecasts.horizon == 2 and len(forecasts) == 2
     with pytest.raises(ValueError):
         forecasts.paths[0, 0] = 5.0
-    assert forecasts[-1] == Forecast(9, (3.0, 4.0), (2.5, 3.5), (3.5, 4.5))
+    assert forecasts[-1] == Forecast((3.0, 4.0), (2.5, 3.5), (3.5, 4.5))
     assert list(forecasts) == [forecasts[0], forecasts[1]]
     assert Forecasts.stack(list(forecasts)).paths.tobytes() == forecasts.paths.tobytes()
     with pytest.raises(IndexError):
         forecasts[2]
-    with pytest.raises(ValueError, match="shapes"):
-        Forecasts([1, 2, 3], paths)
+    with pytest.raises(ValueError, match=r"need paths \(N, H\), got shape \(2,\)"):
+        Forecasts(paths[0])
 
 
 def test_stacking_needs_one_horizon_and_intervals_on_all_or_none():
     with pytest.raises(ValueError, match=r"differ in horizon: \[1, 2\]"):
-        Forecasts.stack([Forecast(0, (1.0,)), Forecast(1, (1.0, 2.0))])
+        Forecasts.stack([Forecast((1.0,)), Forecast((1.0, 2.0))])
     with pytest.raises(ValueError, match="intervals, or none"):
-        Forecasts.stack([Forecast(0, (1.0,)), Forecast(1, (1.0,), (0.5,), (1.5,))])
+        Forecasts.stack([Forecast((1.0,)), Forecast((1.0,), (0.5,), (1.5,))])
 
 
 EXTERNAL = """origin_timestamp,step,predicted_close
@@ -337,7 +336,7 @@ def test_load_external_binds_origin_index():
     ts = int(series.timestamps[4])
     text = f"origin_timestamp,step,predicted_close\n{ts},1,123.0\n"
     items = load_external_forecasts(text, series=series)
-    assert items[0][1].origin_index == 4
+    assert items[0][0] == int(series.timestamps[4])
 
 
 def test_external_roundtrip_with_intervals():
@@ -355,8 +354,8 @@ def test_external_roundtrip_with_intervals():
 
 
 def test_save_external_rejects_mixed_intervals():
-    with_iv = Forecast(0, (1.0,), lower=(0.5,), upper=(1.5,))
-    without = Forecast(0, (1.0,))
+    with_iv = Forecast((1.0,), lower=(0.5,), upper=(1.5,))
+    without = Forecast((1.0,))
     with pytest.raises(ValueError, match="intervals"):
         save_external_forecasts([(0, with_iv), (86400, without)])
 
@@ -449,9 +448,7 @@ def _assert_load_matches_reference(case):
         assert str(excinfo.value) == f"line {line}: {message}"
         return
     loaded = load_external_forecasts(text)
-    assert [(ts, f.origin_index, f.path, f.lower, f.upper) for ts, f in loaded] == [
-        (ts, -1, path, lower, upper) for ts, path, lower, upper in expected
-    ]
+    assert [(ts, f.path, f.lower, f.upper) for ts, f in loaded] == expected
 
 
 def _forecast_file_rows(origins, horizon=3):
@@ -532,13 +529,12 @@ def test_external_forecaster_columns_match_the_loaded_forecasts(with_interval):
     origins = rng.permutation(np.arange(10, 2 * BLOCK))[:BLOCK]
     items = [(int(series.timestamps[o]), drift_forecast(series.window(o - 9, o + 1), 4)) for o in origins]
     if not with_interval:
-        items = [(ts, Forecast(f.origin_index, f.path)) for ts, f in items]
+        items = [(ts, Forecast(f.path)) for ts, f in items]
     text = save_external_forecasts(items, series.timestamp_format)
     ext = ExternalForecaster.load(text.encode(), series, 4)
     loaded = sorted(load_external_forecasts(text, series), key=lambda item: item[0])
     stacked = Forecasts.stack([f for _, f in loaded])
-    assert ext.timestamps.tolist() == [ts for ts, _ in loaded]
-    assert ext.table.origins.tolist() == stacked.origins.tolist() == sorted(origins.tolist())
+    assert ext.timestamps.tolist() == [ts for ts, _ in loaded] == sorted(series.timestamps[origins].tolist())
     for name in ("paths", "lower", "upper"):
         got, want = getattr(ext.table, name), getattr(stacked, name)
         assert (got is None and want is None) or got.tobytes() == want.tobytes()
@@ -556,7 +552,7 @@ def saved_forecasts(draw):
         lower, path, upper = (tuple(column) for column in zip(*triples))
         if not has_interval:
             lower = upper = None
-        items.append((day * DAY if flavour == "iso" else day, Forecast(-1, path, lower, upper)))
+        items.append((day * DAY if flavour == "iso" else day, Forecast(path, lower, upper)))
     return items, flavour
 
 

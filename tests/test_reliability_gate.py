@@ -73,7 +73,7 @@ def test_extract_features_rejects_non_finite():
     # A finite forecast whose relative move from a close of 0.5 overflows.
     series = _flat_series(price=0.5)
     w = series.window(0, 20)
-    bad = Forecast(w.end - 1, (1.7e308,))
+    bad = Forecast((1.7e308,))
     with np.errstate(over="ignore"), pytest.raises(FeatureError, match="predicted_move"):
         extract_features(w, bad, [])
 
@@ -81,7 +81,7 @@ def test_extract_features_rejects_non_finite():
 def _label_bits(series, path_end, horizon):
     """The gate's training labels (predicted direction realized) as the table's
     bit columns, for forecasts ending at path_end(origin) over lookback 2."""
-    forecaster = lambda w, h: Forecast(w.end - 1, (path_end(w.end - 1),) * h)
+    forecaster = lambda w, h: Forecast((path_end(w.end - 1),) * h)
     cfg = EvalConfig(lookback=2, horizon=horizon, train_fraction=0.0)
     table = walk_forward(series, forecaster, _model([0.0] * 7, names=feature_names([])), [], cfg)
     return table.origins.tolist(), (table.predicted_up == table.realized_up).tolist()
