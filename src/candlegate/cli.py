@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: validate, rules-scan, forecast, train-gate, backtest, prompt,
-report.  Options may also come from a JSON config file (--config); explicit
-flags override file values.  Exit codes: 0 success, 1 validation or domain
-error, 2 usage error.
+report.  Each takes the flags of the config keys it reads (``FLAGS``).
+Options may also come from a JSON config file (--config), which any command
+accepts; explicit flags override file values.  Exit codes: 0 success,
+1 validation or domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -46,8 +47,24 @@ DEFAULTS = {
     "format": "table",
 }
 
-CONFIG_KEYS = tuple(DEFAULTS)
 FORMATS = ("table", "json", "csv")
+
+# Each config key's flag, its argparse keywords and its help, where "{}" stands for the key's default.
+FLAGS = {
+    "symbol": ("--symbol", {}, "symbol label (default: file stem)"),
+    "model": ("--model", {}, "forecaster: naive|drift|linreg|external:PATH (default {})"),
+    "lookback": ("--lookback", {"type": int}, "window length (default {})"),
+    "horizon": ("--horizon", {"type": int}, "forecast steps (default {})"),
+    "coverage": ("--coverage", {"type": float}, "central interval coverage (default {})"),
+    "stride": ("--stride", {"type": int}, "evaluation origin step (default {})"),
+    "train_fraction": ("--train-fraction", {"type": float}, "fraction of origins for training (default {})"),
+    "threshold": ("--threshold", {"type": float}, "gate score threshold (default {})"),
+    "required_rules": ("--require-rule", {"action": "append"}, "rule that must pass to execute (repeatable)"),
+    "samples": ("--samples", {"type": int}, "points per trend-line sequence (default {})"),
+    "asset": ("--asset", {}, "asset name used in the template (default {})"),
+    "domain": ("--domain", {}, "domain paragraph override"),
+    "format": ("--format", {"choices": FORMATS}, "report file format (default {})"),
+}
 
 
 def _check_config_value(key: str, value) -> None:
@@ -68,21 +85,17 @@ def _check_config_value(key: str, value) -> None:
 def _merge_config(args: argparse.Namespace) -> dict:
     """Layer defaults, then the JSON config file, then explicit flags."""
     merged = dict(DEFAULTS)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        file_config = json.loads(Path(config_path).read_text(encoding="utf-8"))
+    if args.config:
+        file_config = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(file_config, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = set(file_config) - set(CONFIG_KEYS)
+        unknown = set(file_config) - set(DEFAULTS)
         if unknown:
             raise ValueError(f"unknown config file keys: {sorted(unknown)}")
         for key, value in file_config.items():
             _check_config_value(key, value)
         merged.update(file_config)
-    for key in CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None and value != []:
-            merged[key] = value
+    merged.update((key, value) for key, value in vars(args).items() if key in DEFAULTS)
     coverage_z(merged["coverage"])  # a bad coverage is reported before any input is read
     return merged
 
@@ -162,6 +175,8 @@ def cmd_rules_scan(args) -> int:
 
 def cmd_forecast(args) -> int:
     cfg = _merge_config(args)
+    if cfg["lookback"] < 1 or cfg["horizon"] < 1:  # reported before any input is read
+        raise ValueError("lookback and horizon must be >= 1")
     series = _load_series(args.data, cfg["symbol"])
     forecaster = _resolve_forecaster(cfg["model"], cfg["coverage"], series, cfg["horizon"])
     w = _trailing_window(series, cfg["lookback"])
@@ -237,26 +252,20 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _add_config_flags(parser: argparse.ArgumentParser, *, gate: bool = False) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--symbol", help="symbol label (default: file stem)")
-    parser.add_argument("--model", help="forecaster: naive|drift|linreg|external:PATH")
-    parser.add_argument("--lookback", type=int,
-                        help=f"window length (default {DEFAULTS['lookback']})")
-    parser.add_argument("--horizon", type=int,
-                        help=f"forecast steps (default {DEFAULTS['horizon']})")
-    parser.add_argument("--coverage", type=float,
-                        help=f"central interval coverage (default {DEFAULTS['coverage']})")
-    if gate:
-        parser.add_argument("--stride", type=int,
-                            help=f"evaluation origin step (default {DEFAULTS['stride']})")
-        parser.add_argument("--train-fraction", dest="train_fraction", type=float,
-                            help="fraction of origins used to train the gate "
-                                 f"(default {DEFAULTS['train_fraction']})")
-        parser.add_argument("--threshold", type=float,
-                            help=f"gate score threshold (default {DEFAULTS['threshold']})")
-        parser.add_argument("--require-rule", dest="required_rules", action="append",
-                            help="rule that must pass for execution (repeatable)")
+def _add_flags(parser, *keys: str) -> None:
+    """Add the flags of the named config keys; a flag left out leaves its key unset."""
+    for key in keys:
+        flag, kw, text = FLAGS[key]
+        parser.add_argument(flag, dest=key, default=argparse.SUPPRESS, help=text.format(DEFAULTS[key]), **kw)
+
+
+def _add_command(sub, name: str, func, text: str, keys: str) -> argparse.ArgumentParser:
+    """A subcommand taking --config and the flags of the config keys it reads."""
+    p = sub.add_parser(name, help=text)
+    p.set_defaults(func=func)
+    p.add_argument("--config", help="JSON config file; flags override its values")
+    _add_flags(p, *keys.split())
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,57 +275,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="parse and validate an OHLCV CSV file")
+    p = _add_command(sub, "validate", cmd_validate, "parse and validate an OHLCV CSV file", "symbol")
     p.add_argument("data")
-    p.add_argument("--config")
-    p.add_argument("--symbol")
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("rules-scan", help="scan a series for bottoming-tail candles")
+    p = _add_command(sub, "rules-scan", cmd_rules_scan, "scan a series for bottoming-tail candles", "symbol")
     p.add_argument("data")
-    p.add_argument("--config")
-    p.add_argument("--symbol")
     p.add_argument("--all", action="store_true", help="print a block for every candle")
-    p.set_defaults(func=cmd_rules_scan)
 
-    p = sub.add_parser("forecast", help="forecast from the trailing window")
+    p = _add_command(sub, "forecast", cmd_forecast, "forecast from the trailing window",
+                     "symbol model lookback horizon coverage")
     p.add_argument("data")
     p.add_argument("--out", help="write forecast CSV here instead of stdout")
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_forecast)
 
-    p = sub.add_parser("train-gate", help="train the reliability gate and save it")
+    p = _add_command(sub, "train-gate", cmd_train_gate, "train the reliability gate and save it",
+                     "symbol model lookback horizon train_fraction threshold")
     p.add_argument("data")
     p.add_argument("--out", required=True, help="output path for the gate model JSON")
-    _add_config_flags(p, gate=True)
-    p.set_defaults(func=cmd_train_gate)
 
-    p = sub.add_parser("backtest", help="walk-forward backtest with metric report")
+    p = _add_command(sub, "backtest", cmd_backtest, "walk-forward backtest with metric report",
+                     "symbol model lookback horizon coverage stride train_fraction required_rules format")
     p.add_argument("data")
-    p.add_argument("--gate-model", dest="gate_model", help="pre-trained gate model JSON")
     p.add_argument("--report-out", dest="report_out", help="write the metrics report here")
     p.add_argument("--trace-out", dest="trace_out", help="write the forecast trace CSV here")
-    p.add_argument("--format", choices=FORMATS, help="report file format")
-    _add_config_flags(p, gate=True)
-    p.set_defaults(func=cmd_backtest)
+    gate = p.add_mutually_exclusive_group()
+    gate.add_argument("--gate-model", dest="gate_model", help="pre-trained gate model JSON; keeps its threshold")
+    _add_flags(gate, "threshold")
 
-    p = sub.add_parser("prompt", help="emit the structured prompt prefix text")
+    p = _add_command(sub, "prompt", cmd_prompt, "emit the structured prompt prefix text",
+                     "symbol lookback horizon samples asset domain")
     p.add_argument("data")
     p.add_argument("--out", help="also write the prompt to this file")
-    p.add_argument("--asset", help="asset name used in the template (default Bitcoin)")
-    p.add_argument("--domain", help="domain paragraph override")
-    p.add_argument("--samples", type=int,
-                   help=f"points per trend-line sequence (default {DEFAULTS['samples']})")
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_prompt)
 
-    p = sub.add_parser("report", help="re-render a saved report (JSON or CSV)")
+    p = _add_command(sub, "report", cmd_report, "re-render a saved report (JSON or CSV)", "format")
     p.add_argument("rows", help="report file produced by backtest")
     p.add_argument("--out", help="write here instead of stdout")
-    p.add_argument("--format", choices=FORMATS)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_report)
-
     return parser
 
 

@@ -23,10 +23,12 @@ from .indicators import blocks
 from .market_data import Series, format_timestamp
 from .reliability_gate import (
     _NUMBER,
+    DEFAULT_THRESHOLD,
     GateDecision,
     GateModel,
     TrainingError,
     _has_kind,
+    check_threshold,
     executes,
     feature_names,
     feature_rows,
@@ -45,16 +47,21 @@ UNDEFINED_MARK = "—"
 
 @dataclass(frozen=True)
 class EvalConfig:
+    """Walk-forward settings.  ``lookback``, ``horizon`` and ``train_fraction`` drive gate
+    training, which stamps ``threshold`` on the gate; ``stride`` and ``required_rules``
+    drive evaluation only, and a loaded gate keeps the threshold it was saved with."""
+
     lookback: int = 110
     horizon: int = 7
     stride: int = 1
     train_fraction: float = 0.7
-    threshold: float = 0.5
+    threshold: float = DEFAULT_THRESHOLD
     required_rules: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.lookback < 2 or self.horizon < 1 or self.stride < 1:
             raise ValueError("lookback >= 2, horizon >= 1 and stride >= 1 required")
+        check_threshold(self.threshold)
         if not (0.0 <= self.train_fraction < 1.0):
             raise ValueError("train_fraction must be in [0, 1)")
 

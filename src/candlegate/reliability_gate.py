@@ -23,6 +23,7 @@ from .rule_engine import RuleVerdict, required_positions
 MODEL_FORMAT = 2
 _NUMBER = (int, float)
 
+DEFAULT_THRESHOLD = 0.5
 EPOCHS = 500
 LEARNING_RATE = 0.1
 
@@ -84,6 +85,12 @@ def extract_features(w: Window, forecast: Forecast, verdicts: list[RuleVerdict])
     return feature_rows(w.series, np.array([w.end]), len(w), np.array([forecast.path[-1]]), passed)[0]
 
 
+def check_threshold(threshold: float) -> None:
+    # Inclusive bounds so threshold sweeps can pin the gate fully open/closed.
+    if not (0.0 <= threshold <= 1.0):
+        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+
+
 @dataclass(frozen=True)
 class GateModel:
     weights: tuple[float, ...]
@@ -93,9 +100,7 @@ class GateModel:
     feature_names: tuple[str, ...]
 
     def __post_init__(self):
-        # Inclusive bounds so threshold sweeps can pin the gate fully open/closed.
-        if not (0.0 <= self.threshold <= 1.0):
-            raise ValueError(f"threshold must be in [0, 1], got {self.threshold}")
+        check_threshold(self.threshold)
         lengths = tuple(map(len, (self.weights, self.feature_means, self.feature_stds,
                                   self.feature_names)))
         if len(set(lengths)) != 1:
@@ -147,7 +152,7 @@ def _standardize(X: np.ndarray, names: tuple[str, ...]):
     return (X - means) / stds, means, stds
 
 
-def train(X, y, threshold: float = 0.5, names: tuple[str, ...] | None = None) -> GateModel:
+def train(X, y, threshold: float = DEFAULT_THRESHOLD, names: tuple[str, ...] | None = None) -> GateModel:
     """Fit the logistic gate to feature rows X and 0/1 labels y by EPOCHS full-batch
     gradient descent steps of size LEARNING_RATE from zero weights, so the fit is deterministic."""
     X = np.asarray(X, dtype=np.float64)

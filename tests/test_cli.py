@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import random
@@ -176,6 +177,67 @@ def test_prompt_checks_its_config_before_reading_data(flag, data, tmp_path, caps
     assert main(["prompt", str(path), flag, "0"]) == 1
     assert capsys.readouterr().err == "error: lookback, horizon and line_samples must be >= 1\n"
 
+
+@pytest.mark.parametrize("args", [["--lookback", "0"], ["--lookback", "-3"], ["--horizon", "0"]],
+                         ids=["lookback_0", "lookback_-3", "horizon_0"])
+@pytest.mark.parametrize("data", ["demo", "missing"])
+def test_forecast_checks_its_config_before_reading_data(args, data, tmp_path, capsys):
+    path = BACKTEST_FIXTURE if data == "demo" else tmp_path / "missing.csv"
+    assert main(["forecast", str(path), *args]) == 1
+    assert capsys.readouterr().err == "error: lookback and horizon must be >= 1\n"
+
+
+@pytest.mark.parametrize("command", ["train-gate", "backtest"])
+@pytest.mark.parametrize("data", ["demo", "missing"])
+def test_threshold_is_checked_before_reading_data(command, data, tmp_path, monkeypatch, capsys):
+    def must_not_run(*args):
+        raise AssertionError("the data was read before the threshold was checked")
+
+    monkeypatch.setattr(cli, "_load_series", must_not_run)
+    monkeypatch.setattr(cli, "train_gate_on_series", must_not_run)
+    path = BACKTEST_FIXTURE if data == "demo" else tmp_path / "missing.csv"
+    args = [command, str(path), *BT_ARGS, "--threshold", "1.5"]
+    assert main(args + (["--out", str(tmp_path / "gate.json")] if command == "train-gate" else [])) == 1
+    assert capsys.readouterr().err == "error: threshold must be in [0, 1], got 1.5\n"
+    assert not (tmp_path / "gate.json").exists()
+
+
+COMMAND_FLAGS = {
+    "validate": "--config --symbol",
+    "rules-scan": "--config --symbol --all",
+    "forecast": "--config --symbol --model --lookback --horizon --coverage --out",
+    "train-gate": "--config --symbol --model --lookback --horizon --train-fraction --threshold --out",
+    "backtest": "--config --symbol --model --lookback --horizon --coverage --stride --train-fraction "
+                "--threshold --require-rule --format --gate-model --report-out --trace-out",
+    "prompt": "--config --symbol --lookback --horizon --samples --asset --domain --out",
+    "report": "--config --format --out",
+}
+
+
+def test_each_command_takes_exactly_its_flags():
+    """Every flag a command takes changes what it does; a flag it would ignore is not offered."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    taken = {
+        name: {flag for action in command._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, command in commands.items()
+    }
+    assert taken == {name: set(flags.split()) for name, flags in COMMAND_FLAGS.items()}
+    assert sum(map(len, taken.values())) == 45
+
+
+def test_backtest_takes_a_gate_model_or_a_threshold_not_both(monkeypatch, capsys):
+    def must_not_run(*args):
+        raise AssertionError("the input was read although the flags conflict")
+
+    monkeypatch.setattr(cli, "_load_series", must_not_run)
+    monkeypatch.setattr(cli, "model_from_json", must_not_run)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["backtest", str(BACKTEST_FIXTURE), "--gate-model", "g.json", "--threshold", "0.9"])
+    assert exit_info.value.code == 2
+    assert "argument --threshold: not allowed with argument --gate-model" in capsys.readouterr().err
+
+
 def test_forecast_output_reimports(tmp_path, capsys, backtest_series):
     out_path = tmp_path / "forecast.csv"
     code = main(["forecast", str(BACKTEST_FIXTURE), "--model", "linreg", "--out", str(out_path)])
@@ -214,8 +276,10 @@ def test_backtest_rejects_a_gate_trained_on_other_features(tmp_path, capsys):
 
 
 def test_train_gate_rejects_unknown_required_rule(tmp_path, capsys):
-    model_path = tmp_path / "gate.json"
-    code = main(["train-gate", str(BACKTEST_FIXTURE), *BT_ARGS, "--require-rule", "nope",
+    """train-gate takes no --require-rule, but checks the required rules of a shared config file."""
+    model_path, config_path = tmp_path / "gate.json", tmp_path / "run.json"
+    config_path.write_text(json.dumps({"required_rules": ["nope"]}))
+    code = main(["train-gate", str(BACKTEST_FIXTURE), *BT_ARGS, "--config", str(config_path),
                  "--out", str(model_path)])
     err = capsys.readouterr().err
     assert code == 1
@@ -237,8 +301,11 @@ def test_backtest_rejects_unknown_required_rule_before_reading_data(monkeypatch,
     assert err.startswith("error: ") and "'nope'" in err
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("command", ["forecast", "train-gate", "backtest"])
+@pytest.mark.parametrize(  # train-gate takes no --coverage flag, but a config file may hold the key
+    "command, source",
+    [("forecast", "flag"), ("forecast", "config"), ("train-gate", "config"), ("backtest", "flag"),
+     ("backtest", "config")],
+)
 def test_bad_coverage_is_reported_before_the_input_is_read(command, source, tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("time,open,high,low,close,volume\n2024-01-01,100,101,99,100,1\n")
@@ -480,6 +547,7 @@ def _golden_outputs(model: str, workdir: Path, capsys) -> dict[str, bytes]:
     (workdir / "ext.csv").write_text(_external_forecast_csv(series, True))
     (workdir / "ext_plain.csv").write_text(_external_forecast_csv(series, False))
     flags = [*BT_ARGS, *GOLDEN_MODELS[model]]
+    gate_flags = [*BT_ARGS, "--model", GOLDEN_MODELS[model][1]]  # train-gate takes no --coverage
     data = str(BACKTEST_FIXTURE)
     outputs = {}
     capsys.readouterr()
@@ -488,7 +556,7 @@ def _golden_outputs(model: str, workdir: Path, capsys) -> dict[str, bytes]:
     outputs["backtest_stdout"] = capsys.readouterr().out.encode()
     assert main(["backtest", data, *flags, "--format", "json", "--report-out", "report.json"]) == 0
     capsys.readouterr()
-    assert main(["train-gate", data, *flags, "--out", "gate.json"]) == 0
+    assert main(["train-gate", data, *gate_flags, "--out", "gate.json"]) == 0
     capsys.readouterr()
     assert main(["forecast", data, *flags]) == 0
     outputs["forecast_csv"] = capsys.readouterr().out.encode()

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import astuple
 
 import numpy as np
@@ -51,6 +52,15 @@ def _zero_gate(rules=(), threshold=0.5):
         feature_stds=(1.0,) * dim,
         feature_names=names,
     )
+
+
+@pytest.mark.parametrize("threshold", [-0.1, 1.5, float("nan")])
+def test_config_and_gate_reject_the_same_thresholds(threshold):
+    message = f"threshold must be in [0, 1], got {threshold}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        EvalConfig(threshold=threshold)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _zero_gate(threshold=threshold)
 
 
 def _table(predicted_up, realized_up, scores, threshold=0.5, rules_ok=None):

@@ -248,9 +248,13 @@ def test_doji_inside_a_block_warns_nothing_and_fails_fractions():
     columns = predicate_columns(rule, series, ends, 10)
     doji = (series.highs[ends - 1] == series.lows[ends - 1])
     assert doji.sum() > 40
+    fraction_kinds = (rule_engine.TAIL_MIN_FRACTION, rule_engine.BODY_UPPER_HALF, rule_engine.CLOSE_TOP_FRACTION)
+    checked = 0
     for predicate, (measured, _, passed) in zip(rule.predicates, columns):
-        if predicate.kind in ("tail_min_fraction", "body_in_upper_half", "close_top_fraction"):
+        if predicate.kind in fraction_kinds:
             assert not passed[doji].any() and (measured[doji] == 0.0).all()
+            checked += 1
+    assert checked == 3
     cfg = EvalConfig(lookback=12, horizon=2, train_fraction=0.5)
     gate = train_gate_on_series(series, drift_forecast, [rule], cfg)
     assert len(walk_forward(series, drift_forecast, gate, [rule], cfg)) > 0
