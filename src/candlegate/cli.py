@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,8 @@ from .forecaster import save_external_forecasts
 from .market_data import Series, Window, format_timestamp, parse_csv
 from .indicators import blocks, fit_resistance_line, fit_support_line, resample_line
 from .prompt_prefix import BITCOIN_DOMAIN, PromptConfig, build_prompt
-from .reliability_gate import _NUMBER, _has_kind, model_from_json, model_to_json
+from .reliability_gate import _NUMBER, DEFAULT_THRESHOLD, _has_kind, check_threshold
+from .reliability_gate import model_from_json, model_to_json
 from .rule_engine import bottoming_tail_rule, explain, predicate_columns, rule_passed, rule_verdicts
 from .rule_engine import required_positions
 
@@ -41,6 +42,7 @@ DEFAULTS = {
     "model": "drift",
     **{f.name: f.default for f in fields(EvalConfig)},
     "coverage": DEFAULT_COVERAGE,
+    "threshold": DEFAULT_THRESHOLD,
     "samples": PromptConfig.line_samples,
     "asset": "Bitcoin",
     "domain": BITCOIN_DOMAIN,
@@ -94,9 +96,14 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ValueError(f"unknown config file keys: {sorted(unknown)}")
         for key, value in file_config.items():
             _check_config_value(key, value)
+        if "threshold" in file_config and getattr(args, "gate_model", None):
+            raise ValueError("config file key 'threshold' conflicts with --gate-model: "
+                             "a loaded gate keeps its saved threshold")
         merged.update(file_config)
     merged.update((key, value) for key, value in vars(args).items() if key in DEFAULTS)
-    coverage_z(merged["coverage"])  # a bad coverage is reported before any input is read
+    coverage_z(merged["coverage"])  # a bad coverage or model is reported before any input is read
+    if merged["model"] not in KERNELS and not merged["model"].startswith("external:"):
+        raise ValueError(f"unknown forecaster {merged['model']!r} (naive|drift|linreg|external:PATH)")
     return merged
 
 
@@ -113,14 +120,11 @@ def _trailing_window(series: Series, lookback: int) -> Window:
 
 
 def _resolve_forecaster(name: str, coverage: float, series: Series, horizon: int):
-    """The named forecaster.  External forecasts are stacked and checked against the
-    horizon once, here."""
+    """The named forecaster: a kernel, or else external:PATH, the one other name _merge_config
+    admits.  External forecasts are stacked and checked against the horizon once, here."""
     if name in KERNELS:
         return Baseline(KERNELS[name], coverage)
-    if name.startswith("external:"):
-        path = name.split(":", 1)[1]
-        return ExternalForecaster.load(Path(path).read_bytes(), series, horizon)
-    raise ValueError(f"unknown forecaster {name!r} (naive|drift|linreg|external:PATH)")
+    return ExternalForecaster.load(Path(name.removeprefix("external:")).read_bytes(), series, horizon)
 
 
 def _write_chunks(path: str, chunks) -> None:
@@ -187,11 +191,15 @@ def cmd_forecast(args) -> int:
 
 
 def _eval_config(cfg: dict, rules) -> EvalConfig:
-    """The evaluation config, with its required rules checked against the rules."""
+    """The evaluation config, after checking the threshold, required rules and rule lookbacks."""
+    check_threshold(cfg["threshold"])
     values = {f.name: cfg[f.name] for f in fields(EvalConfig)}
     values["required_rules"] = tuple(values["required_rules"])
     required_positions([rule.name for rule in rules], values["required_rules"])
-    return EvalConfig(**values)
+    eval_cfg = EvalConfig(**values)
+    for rule in rules:
+        rule.check_window(eval_cfg.lookback)
+    return eval_cfg
 
 
 def cmd_train_gate(args) -> int:
@@ -200,7 +208,7 @@ def cmd_train_gate(args) -> int:
     eval_cfg = _eval_config(cfg, rules)
     series = _load_series(args.data, cfg["symbol"])
     forecaster = _resolve_forecaster(cfg["model"], cfg["coverage"], series, cfg["horizon"])
-    gate = train_gate_on_series(series, forecaster, rules, eval_cfg)
+    gate = replace(train_gate_on_series(series, forecaster, rules, eval_cfg), threshold=cfg["threshold"])
     _write_text(args.out, model_to_json(gate))
     print(f"gate trained: {gate.dim} features, threshold {gate.threshold}, saved to {args.out}")
     return 0
@@ -215,7 +223,7 @@ def cmd_backtest(args) -> int:
     if args.gate_model:
         gate = model_from_json(Path(args.gate_model).read_text(encoding="utf-8"))
     else:
-        gate = train_gate_on_series(series, forecaster, rules, eval_cfg)
+        gate = replace(train_gate_on_series(series, forecaster, rules, eval_cfg), threshold=cfg["threshold"])
     table = walk_forward(series, forecaster, gate, rules, eval_cfg)
     rows = summarize(table, model_label=cfg["model"])
     print(report(rows, "table"), end="")

@@ -23,12 +23,10 @@ from .indicators import blocks
 from .market_data import Series, format_timestamp
 from .reliability_gate import (
     _NUMBER,
-    DEFAULT_THRESHOLD,
     GateDecision,
     GateModel,
     TrainingError,
     _has_kind,
-    check_threshold,
     executes,
     feature_names,
     feature_rows,
@@ -47,21 +45,18 @@ UNDEFINED_MARK = "—"
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Walk-forward settings.  ``lookback``, ``horizon`` and ``train_fraction`` drive gate
-    training, which stamps ``threshold`` on the gate; ``stride`` and ``required_rules``
-    drive evaluation only, and a loaded gate keeps the threshold it was saved with."""
+    """Walk-forward settings.  ``stride`` and ``required_rules`` drive evaluation only; the
+    decision threshold is the gate's."""
 
     lookback: int = 110
     horizon: int = 7
     stride: int = 1
     train_fraction: float = 0.7
-    threshold: float = DEFAULT_THRESHOLD
     required_rules: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.lookback < 2 or self.horizon < 1 or self.stride < 1:
             raise ValueError("lookback >= 2, horizon >= 1 and stride >= 1 required")
-        check_threshold(self.threshold)
         if not (0.0 <= self.train_fraction < 1.0):
             raise ValueError("train_fraction must be in [0, 1)")
 
@@ -189,7 +184,7 @@ def train_gate_on_series(series: Series, forecaster, rules: list[Rule], cfg: Eva
         raise TrainingError("training segment is empty; lower train_fraction or add data")
     _, _, X, predicted_up, realized_up = _origin_columns(series, train_origins, forecaster, rules, cfg)
     names = feature_names([rule.name for rule in rules])
-    return train(X, predicted_up == realized_up, threshold=cfg.threshold, names=names)
+    return train(X, predicted_up == realized_up, names=names)
 
 
 def walk_forward(
@@ -290,11 +285,12 @@ def report(rows: list[MetricsRow], fmt: str = "table") -> str:
         return json.dumps([asdict(r) for r in rows], indent=2) + "\n"
 
     if fmt == "csv":
-        cell = lambda v: "" if v is None else repr(v)
-        lines = [REPORT_CSV_HEADER]
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")  # quotes a label holding a comma or quote
+        writer.writerow(REPORT_CSV_HEADER.split(","))
         for r in rows:
-            lines.append(",".join([r.model, r.side, *map(cell, astuple(r)[2:])]))
-        return "\n".join(lines) + "\n"
+            writer.writerow([r.model, r.side, *("" if v is None else repr(v) for v in astuple(r)[2:])])
+        return out.getvalue()
 
     raise ValueError(f"unknown report format {fmt!r}")
 

@@ -11,6 +11,7 @@ that evidence and renders its reasons from it on read.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -107,12 +108,13 @@ class GateModel:
             raise ValueError(
                 f"weights, feature means, feature stds and feature names differ in length {lengths}"
             )
-        if not all(np.isfinite(self.weights)):
+        # abs(v) <= max fails NaN, the infinities and an int beyond float range alike.
+        if not all(abs(v) <= sys.float_info.max for v in self.weights):
             raise ValueError("model weights must be finite")
-        if not all(np.isfinite(self.feature_means)):
+        if not all(abs(v) <= sys.float_info.max for v in self.feature_means):
             raise ValueError("feature means must be finite")
         # A zero std would turn every score into NaN, and NaN never clears the threshold.
-        if not all(np.isfinite(s) and s > 0 for s in self.feature_stds):
+        if not all(0 < s <= sys.float_info.max for s in self.feature_stds):
             raise ValueError("feature stds must be finite and > 0")
 
     @property
@@ -152,7 +154,7 @@ def _standardize(X: np.ndarray, names: tuple[str, ...]):
     return (X - means) / stds, means, stds
 
 
-def train(X, y, threshold: float = DEFAULT_THRESHOLD, names: tuple[str, ...] | None = None) -> GateModel:
+def train(X, y, names: tuple[str, ...] | None = None) -> GateModel:
     """Fit the logistic gate to feature rows X and 0/1 labels y by EPOCHS full-batch
     gradient descent steps of size LEARNING_RATE from zero weights, so the fit is deterministic."""
     X = np.asarray(X, dtype=np.float64)
@@ -181,7 +183,7 @@ def train(X, y, threshold: float = DEFAULT_THRESHOLD, names: tuple[str, ...] | N
 
     return GateModel(
         weights=tuple(float(v) for v in weights),
-        threshold=threshold,
+        threshold=DEFAULT_THRESHOLD,
         feature_means=tuple(float(v) for v in means),
         feature_stds=tuple(float(v) for v in stds),
         feature_names=tuple(names),

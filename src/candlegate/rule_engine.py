@@ -82,6 +82,11 @@ class Rule:
     def max_lookback(self) -> int:
         return max(p.lookback for p in self.predicates)
 
+    def check_window(self, window_len: int) -> None:
+        if window_len < self.max_lookback:
+            raise InsufficientHistoryError(f"rule {self.name!r} needs {self.max_lookback} candles, "
+                                           f"window has {window_len}")
+
 
 @dataclass(frozen=True, slots=True)
 class TraceEntry:
@@ -121,11 +126,8 @@ def predicate_columns(rule: Rule, series: Series, ends: np.ndarray, window_len: 
     Each predicate sees the trailing `lookback` candles, inclusive of the
     candle under test (the window's last candle).
     """
+    rule.check_window(window_len)
     lookback = rule.max_lookback
-    if window_len < lookback:
-        raise InsufficientHistoryError(
-            f"rule {rule.name!r} needs {lookback} candles, window has {window_len}"
-        )
     last = ends - 1
     o, h, l, c, v = (column[last] for column in (series.opens, series.highs, series.lows,
                                                   series.closes, series.volumes))

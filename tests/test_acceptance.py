@@ -53,9 +53,7 @@ def test_synthetic_gate_precision_lift():
     start = time.perf_counter()
     lookback, horizon = 30, 5
     series = make_regime_series(1750, lookback, horizon, seed=5)
-    cfg = EvalConfig(
-        lookback=lookback, horizon=horizon, stride=1, train_fraction=0.7, threshold=0.5,
-    )
+    cfg = EvalConfig(lookback=lookback, horizon=horizon, stride=1, train_fraction=0.7)
     rules = [regime_flag_rule()]
     gate = train_gate_on_series(series, drift_forecast, rules, cfg)
     table = walk_forward(series, drift_forecast, gate, rules, cfg)

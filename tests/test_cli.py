@@ -202,6 +202,60 @@ def test_threshold_is_checked_before_reading_data(command, data, tmp_path, monke
     assert not (tmp_path / "gate.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, args, message",
+    [
+        (command, ["--model", "nope"], "unknown forecaster 'nope' (naive|drift|linreg|external:PATH)")
+        for command in ("forecast", "train-gate", "backtest")
+    ] + [
+        (command, ["--lookback", "50"], "rule 'bottoming_tail_candle' needs 90 candles, window has 50")
+        for command in ("train-gate", "backtest")
+    ],
+    ids=["model-forecast", "model-train-gate", "model-backtest", "lookback-train-gate", "lookback-backtest"],
+)
+@pytest.mark.parametrize("data", ["demo", "missing"])
+def test_model_and_rule_lookback_are_checked_before_reading_data(command, args, message, data, tmp_path,
+                                                                  monkeypatch, capsys):
+    def must_not_run(*args):
+        raise AssertionError("the data was read before the config was checked")
+
+    monkeypatch.setattr(cli, "_load_series", must_not_run)
+    path = BACKTEST_FIXTURE if data == "demo" else tmp_path / "missing.csv"
+    argv = [command, str(path), *BT_ARGS, *args]
+    assert main(argv + (["--out", str(tmp_path / "gate.json")] if command == "train-gate" else [])) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "gate.json").exists()
+
+
+def test_a_config_file_threshold_is_refused_under_gate_model(tmp_path, monkeypatch, capsys):
+    """A loaded gate keeps its saved threshold, so a file's threshold is an error, not ignored."""
+    def must_not_run(*args):
+        raise AssertionError("the input was read although the config conflicts with --gate-model")
+
+    monkeypatch.setattr(cli, "_load_series", must_not_run)
+    monkeypatch.setattr(cli, "model_from_json", must_not_run)
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({"threshold": 0.99}))
+    code = main(["backtest", str(BACKTEST_FIXTURE), *BT_ARGS, "--gate-model", str(tmp_path / "gate.json"),
+                 "--config", str(config_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config file key 'threshold'") and "keeps its saved threshold" in err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_threshold_is_put_on_the_trained_gate(source, tmp_path, capsys):
+    config_path, gate_path = tmp_path / "run.json", tmp_path / "gate.json"
+    config_path.write_text(json.dumps({"threshold": 0.7}))
+    setting = ["--threshold", "0.7"] if source == "flag" else ["--config", str(config_path)]
+    assert main(["train-gate", str(BACKTEST_FIXTURE), *BT_ARGS, *setting, "--out", str(gate_path)]) == 0
+    assert model_from_json(gate_path.read_text()).threshold == 0.7
+    assert main(["backtest", str(BACKTEST_FIXTURE), *BT_ARGS]) == 0
+    at_default = capsys.readouterr().out
+    assert main(["backtest", str(BACKTEST_FIXTURE), *BT_ARGS, *setting]) == 0
+    assert capsys.readouterr().out != at_default
+
+
 COMMAND_FLAGS = {
     "validate": "--config --symbol",
     "rules-scan": "--config --symbol --all",
@@ -344,6 +398,9 @@ def _gate_payload(**changes):
         (_gate_payload(feature_stds=[0.0] * 8), "stds must be finite and > 0"),
         (_gate_payload(threshold=True), "'threshold' must be a number"),
         (_gate_payload(weights=[True] + [0.0] * 7), "'weights' must be a list of numbers"),
+        (_gate_payload(weights=[10**400] + [0.0] * 7), "weights must be finite"),
+        (_gate_payload(feature_means=[-(10**400)] + [0.0] * 7), "means must be finite"),
+        (_gate_payload(feature_stds=[10**400] + [1.0] * 7), "stds must be finite and > 0"),
     ],
 )
 def test_backtest_rejects_malformed_gate_model(tmp_path, capsys, payload, message):
@@ -433,6 +490,18 @@ def test_external_forecaster_names_the_first_missing_origin(tmp_path, capsys, ba
     assert main(["backtest", str(BACKTEST_FIXTURE), *BT_ARGS, "--model", f"external:{ext}"]) == 1
     first = format_timestamp(int(backtest_series.timestamps[94]), backtest_series.timestamp_format)
     assert capsys.readouterr().err == f"error: no external forecast for origin {first}\n"
+
+
+def test_a_report_label_holding_a_comma_renders_again(tmp_path, capsys, backtest_series):
+    ext = tmp_path / "we,ird" / "f.csv"
+    ext.parent.mkdir()
+    ext.write_text(_external_forecast_csv(backtest_series, True))
+    report_path = tmp_path / "r.csv"
+    assert main(["backtest", str(BACKTEST_FIXTURE), *BT_ARGS, "--model", f"external:{ext}",
+                 "--report-out", str(report_path), "--format", "csv"]) == 0
+    capsys.readouterr()
+    assert main(["report", str(report_path), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == report_path.read_text()
 
 
 def test_report_command_renders_json(tmp_path, capsys):

@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import astuple
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -55,12 +55,43 @@ def _zero_gate(rules=(), threshold=0.5):
 
 
 @pytest.mark.parametrize("threshold", [-0.1, 1.5, float("nan")])
-def test_config_and_gate_reject_the_same_thresholds(threshold):
-    message = f"threshold must be in [0, 1], got {threshold}"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        EvalConfig(threshold=threshold)
-    with pytest.raises(ValueError, match=re.escape(message)):
+def test_gate_rejects_out_of_range_thresholds(threshold):
+    with pytest.raises(ValueError, match=re.escape(f"threshold must be in [0, 1], got {threshold}")):
         _zero_gate(threshold=threshold)
+
+
+# A second value for each EvalConfig field; every field must have one.
+SECOND_VALUES = {
+    "lookback": 100,
+    "horizon": 4,
+    "stride": 2,
+    "train_fraction": 0.5,
+    "required_rules": ("bottoming_tail_candle",),
+}
+
+
+@pytest.fixture(scope="module")
+def demo_run(backtest_series):
+    rules = [bottoming_tail_rule()]
+    cfg = EvalConfig(lookback=95, horizon=3)
+    gate = train_gate_on_series(backtest_series, drift_forecast, rules, cfg)
+    return rules, cfg, gate, walk_forward(backtest_series, drift_forecast, gate, rules, cfg)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(EvalConfig)])
+def test_every_config_field_changes_the_walk_forward(name, demo_run, backtest_series):
+    """No setting is silently ignored: each field, given a second value, changes the
+    evaluation origins, their scores or their executed bits."""
+    rules, cfg, gate, table = demo_run
+    other_cfg = replace(cfg, **{name: SECOND_VALUES[name]})
+    other = walk_forward(backtest_series, drift_forecast, gate, rules, other_cfg)
+    columns = lambda t: (t.origins, t.scores, t.executed)
+    assert not all(map(np.array_equal, columns(table), columns(other)))
+
+
+def test_the_config_holds_no_threshold():
+    with pytest.raises(TypeError):
+        EvalConfig(threshold=0.99)
 
 
 def _table(predicted_up, realized_up, scores, threshold=0.5, rules_ok=None):
@@ -275,6 +306,8 @@ def test_report_csv_roundtrip_identity():
     rows = [
         MetricsRow("m", "Up", 0.4612, 0.557, 0.52, 0.5334, 1.0),
         MetricsRow("m+gate", "Up", None, 0.7, None, None, 0.06),
+        MetricsRow("external:/dir/we,ird/f.csv", "Down", 0.5, None, 0.25, None, 0.5),
+        MetricsRow('say "hi", then "bye"+gate', "Down", 0.1, 0.2, 0.3, 0.24, 0.9),
     ]
     text = report(rows, "csv")
     reparsed = parse_report_csv(text)

@@ -60,3 +60,25 @@ def test_every_private_top_level_name_is_referenced():
         if name.startswith("_") and not name.startswith("__") and readers[name] == (name in names)
     ]
     assert unreferenced == []
+
+
+# The forecaster protocol fixes this signature; a forecaster may ignore some of its arguments.
+PROTOCOL_SIGNATURES = {("forecasts", ("self", "series", "origins", "lookback", "horizon"))}
+
+
+def test_every_parameter_is_read():
+    """Every parameter of every function and lambda in the package is read in its body."""
+    unread = []
+    for module, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg) if a]
+            name = getattr(node, "name", "<lambda>")
+            if (name, tuple(params)) in PROTOCOL_SIGNATURES:
+                continue
+            body = ast.Module(node.body if isinstance(node.body, list) else [ast.Expr(node.body)], [])
+            read = {n.id for n in ast.walk(body) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{module}.{name}({param})" for param in params if param not in read]
+    assert unread == []
