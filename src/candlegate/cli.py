@@ -27,10 +27,10 @@ from .evaluation import (
     train_gate_on_series,
     walk_forward,
 )
-from .forecaster import DEFAULT_COVERAGE, KERNELS, Baseline, ExternalForecaster, coverage_z
+from .forecaster import DEFAULT_COVERAGE, KERNELS, Baseline, ExternalForecaster, check_lookback, coverage_z
 from .forecaster import save_external_forecasts
 from .market_data import Series, Window, format_timestamp, parse_csv
-from .indicators import blocks, fit_resistance_line, fit_support_line, resample_line
+from .indicators import blocks, check_line_window, fit_resistance_line, fit_support_line, resample_line
 from .prompt_prefix import BITCOIN_DOMAIN, PromptConfig, build_prompt
 from .reliability_gate import _NUMBER, DEFAULT_THRESHOLD, _has_kind, check_threshold
 from .reliability_gate import model_from_json, model_to_json
@@ -181,6 +181,7 @@ def cmd_forecast(args) -> int:
     cfg = _merge_config(args)
     if cfg["lookback"] < 1 or cfg["horizon"] < 1:  # reported before any input is read
         raise ValueError("lookback and horizon must be >= 1")
+    check_lookback(cfg["model"], cfg["lookback"])
     series = _load_series(args.data, cfg["symbol"])
     forecaster = _resolve_forecaster(cfg["model"], cfg["coverage"], series, cfg["horizon"])
     w = _trailing_window(series, cfg["lookback"])
@@ -238,6 +239,7 @@ def cmd_prompt(args) -> int:
     cfg = _merge_config(args)
     # A bad config is reported before any input is read.
     prompt_cfg = PromptConfig(cfg["asset"], cfg["domain"], cfg["lookback"], cfg["horizon"], cfg["samples"])
+    check_line_window(prompt_cfg.lookback)
     series = _load_series(args.data, cfg["symbol"])
     w = _trailing_window(series, prompt_cfg.lookback)
     support = resample_line(fit_support_line(w), len(w), prompt_cfg.line_samples)

@@ -179,9 +179,12 @@ def train_gate_on_series(series: Series, forecaster, rules: list[Rule], cfg: Eva
     The label of an origin is 1 when its predicted direction was realized.
     """
     required_positions([rule.name for rule in rules], cfg.required_rules)
-    train_origins, _ = _origin_splits(series, cfg)
+    train_origins, eval_origins = _origin_splits(series, cfg)
     if not train_origins:
-        raise TrainingError("training segment is empty; lower train_fraction or add data")
+        split = eval_origins[0] - (cfg.lookback - 1)  # origins before the first evaluation origin
+        raise TrainingError(f"training segment is empty: the training split holds {split} origin(s) and the "
+                            f"embargo of {cfg.horizon} origins before evaluation drops them all; "
+                            "raise train_fraction or add data")
     _, _, X, predicted_up, realized_up = _origin_columns(series, train_origins, forecaster, rules, cfg)
     names = feature_names([rule.name for rule in rules])
     return train(X, predicted_up == realized_up, names=names)

@@ -27,7 +27,6 @@ from .market_data import (
     Series,
     Window,
     _data_record,
-    _decode,
     _read_csv,
     _read_data,
     _timestamps,
@@ -186,8 +185,12 @@ def _steps(horizon: int) -> tuple[np.ndarray, np.ndarray]:
     return steps, roots
 
 
-def _need_two(closes: np.ndarray, name: str) -> None:
-    if closes.shape[1] < 2:
+_TREND_KERNELS = frozenset({"drift", "linreg"})  # they extrapolate a trend, so need 2 candles
+
+
+def check_lookback(name: str, lookback: int) -> None:
+    """The named baseline can forecast from a window of ``lookback`` candles."""
+    if name in _TREND_KERNELS and lookback < 2:
         raise ValueError(f"{name} forecast needs a window of at least 2 candles")
 
 
@@ -208,7 +211,7 @@ def _naive(closes: np.ndarray, horizon: int, coverage: float):
 
 def _drift(closes: np.ndarray, horizon: int, coverage: float):
     steps, roots = _steps(horizon)
-    _need_two(closes, "drift")
+    check_lookback("drift", closes.shape[1])
     last = closes[:, -1:]
     paths = last + steps * ((last - closes[:, :1]) / (closes.shape[1] - 1))
     return paths, *_diffusion_interval(paths, roots, last, volatilities(closes), coverage)
@@ -216,7 +219,7 @@ def _drift(closes: np.ndarray, horizon: int, coverage: float):
 
 def _linreg(closes: np.ndarray, horizon: int, coverage: float):
     steps, _ = _steps(horizon)
-    _need_two(closes, "linreg")
+    check_lookback("linreg", closes.shape[1])
     n = closes.shape[1]
     idx = np.arange(n, dtype=np.float64)
     # One polyfit per row: a 2-D polyfit differs from it in the last bits.
@@ -405,7 +408,6 @@ def read_external_forecasts(text: str | bytes, series: Series | None = None) -> 
     Malformed input raises ParseError with the line number (of the origin's
     first row for errors that span a whole origin).
     """
-    _decode(text)
     header, blocks = _read_csv(text)
     if header is None:
         raise ParseError("empty forecast file")

@@ -62,6 +62,12 @@ def _axis(length: int) -> tuple[np.ndarray, np.ndarray, float, float]:
     return steps, centered, middle, length * (length**2 - 1) / 12
 
 
+def check_line_window(length: int) -> None:
+    """A trend line is fit to at least 2 candles."""
+    if length < 2:
+        raise ValueError(f"need at least 2 candles to fit a line, got {length}")
+
+
 def envelope_lines(values: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """Slopes and intercepts of the touching envelope of each row of values.
 
@@ -71,8 +77,7 @@ def envelope_lines(values: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarra
     shifted to the lowest (support) or highest (resistance) residual.
     """
     length = values.shape[-1]
-    if length < 2:
-        raise ValueError(f"need at least 2 candles to fit a line, got {length}")
+    check_line_window(length)
     steps, centered, middle, denominator = _axis(length)
     slopes = np.add.reduce(values * centered, axis=-1) / denominator
     intercepts = np.add.reduce(values, axis=-1) / length - slopes * middle

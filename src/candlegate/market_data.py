@@ -228,17 +228,21 @@ def _decode(text: str | bytes) -> str:
 
 
 def _read_csv(data: str | bytes):
-    """``(header, blocks)`` of CSV input that ``_decode`` accepts.
+    """``(header, blocks)`` of str or UTF-8 CSV input.
 
-    Bytes are decoded as they are read, so no copy of the whole text is made.
-    Leading byte order marks are dropped.  ``header`` is ``(line, cells)`` of
-    the first non-blank record, or None if there is none; ``blocks`` yields
-    ``(lines, rows)`` for up to BLOCK further records at a time, without the
-    blank ones.  Line numbers count records from 1, blank ones included.
+    Bytes are decoded as they are read, so ASCII input is never decoded whole;
+    other bytes are first checked whole by ``_decode``, so an undecodable byte
+    is the first fault reported.  Leading byte order marks are dropped.
+    ``header`` is ``(line, cells)`` of the first non-blank record, or None if
+    there is none; ``blocks`` yields ``(lines, rows)`` for up to BLOCK further
+    records at a time, without the blank ones.  Line numbers count records
+    from 1, blank ones included.
     """
     if isinstance(data, str):
         stream = io.StringIO(data)
     else:
+        if not data.isascii():
+            _decode(data)
         stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
     first = stream.readline().lstrip("\ufeff")
     reader = csv.reader(chain((first,) if first else (), stream))
@@ -327,15 +331,28 @@ def _series(data, symbol: str, timestamps: array, values: array, flavour: str) -
         raise ParseError(exc.reason, line=_data_record(data, exc.index)[0]) from None
 
 
+def _refuse_blank(text: str | bytes) -> None:
+    """Raise the empty-input ParseError if the text holds only byte order marks and white space.
+
+    It decodes the whole text, so it runs only when the first record is not a header.
+    """
+    if _BLANK.fullmatch(_decode(text)):
+        raise ParseError("empty input: no header or data rows")
+
+
 def parse_csv(text: str | bytes, symbol: str = "") -> Series:
     """Parse OHLCV CSV text into a Series, reading BLOCK rows at a time into columns.
 
     A malformed row or a violated candle or ordering invariant raises
     ParseError with the line number of the earliest faulty row.
     """
-    if _BLANK.fullmatch(_decode(text)):
-        raise ParseError("empty input: no header or data rows")
-    header, blocks = _read_csv(text)
+    try:
+        header, blocks = _read_csv(text)
+    except ParseError:
+        _refuse_blank(text)
+        raise
+    if header is None or not "".join(header[1]).strip():
+        _refuse_blank(text)
     header_line, header_row = header
     names = ",".join(f.strip() for f in header_row)
     if names != CSV_HEADER:

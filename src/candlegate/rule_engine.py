@@ -33,6 +33,7 @@ PREDICATE_KINDS = frozenset(
     }
 )
 _THRESHOLDED = frozenset({SIZE_TOP_PCT, VOLUME_TOP_PCT, TAIL_MIN_FRACTION, CLOSE_TOP_FRACTION})
+_RANKED = frozenset({SIZE_TOP_PCT, VOLUME_TOP_PCT})
 
 DEFAULT_LOOKBACK = 90
 
@@ -64,6 +65,13 @@ class Predicate:
             return 0.5
         # A minimum tail fraction is its threshold; "in the top q" is 1 - q.
         return self.threshold if self.kind == TAIL_MIN_FRACTION else 1.0 - self.threshold
+
+    @cached_property
+    def ranked_entries(self) -> dict[float, TraceEntry]:
+        """A ranked predicate's trace entry for each value it can measure, ``count / lookback``,
+        made once: every verdict that measures a count shares its entry."""
+        values = (count / self.lookback for count in range(self.lookback + 1))
+        return {m: TraceEntry(self.name, m, self.cutoff, m >= self.cutoff) for m in values}
 
 
 @dataclass(frozen=True)
@@ -148,7 +156,7 @@ def predicate_columns(rule: Rule, series: Series, ends: np.ndarray, window_len: 
         if p.kind == LOWEST_IN_WINDOW:
             measured, threshold = l, np.minimum.reduce(series.lows[window], axis=1)
             passed = measured <= threshold
-        elif p.kind in (SIZE_TOP_PCT, VOLUME_TOP_PCT):
+        elif p.kind in _RANKED:
             if p.kind == SIZE_TOP_PCT:
                 values, x = series.highs[window] - series.lows[window], size
             else:
@@ -169,25 +177,43 @@ def rule_passed(columns) -> np.ndarray:
 
 
 def rule_verdicts(rule: Rule, columns, rows=None) -> list[RuleVerdict]:
-    """Verdicts with full traces for the given rows (all by default) of the columns."""
+    """Verdicts with full traces for the given rows (all by default) of the columns.
+
+    A ranked predicate's entries are shared (``Predicate.ranked_entries``), and
+    predicates that measure one column share each row's value of it.
+    """
+    # Once per call: the slot of each distinct measured column, so a row boxes its value once.
     # A constant threshold column is ``zeros + cutoff``, equal bit for bit to the cutoff float.
-    cutoffs = [None if p.kind == LOWEST_IN_WINDOW else p.cutoff for p in rule.predicates]
+    slots, measured, plan = {}, [], []
+    for p, (m, t, ok) in zip(rule.predicates, columns):
+        k = slots.setdefault(id(m), len(measured))
+        if k == len(measured):
+            measured.append(m)
+        shared = p.ranked_entries if p.kind in _RANKED else None
+        plan.append((p.name, k, shared, None if p.kind == LOWEST_IN_WINDOW else p.cutoff, t, ok))
     verdicts = []
     for i in range(len(columns[0][0])) if rows is None else rows:
+        values = [m.item(i) for m in measured]
         trace = tuple(
-            TraceEntry(p.name, m.item(i), t.item(i) if cut is None else cut, ok.item(i))
-            for p, cut, (m, t, ok) in zip(rule.predicates, cutoffs, columns)
+            TraceEntry(name, values[k], t.item(i) if cut is None else cut, ok.item(i)) if shared is None
+            else shared[values[k]]
+            for name, k, shared, cut, t, ok in plan
         )
         verdicts.append(RuleVerdict(rule=rule.name, passed=all(e.passed for e in trace), trace=trace))
     return verdicts
 
 
 def required_positions(rule_names, required) -> tuple[int, ...]:
-    """Positions of the required rules among the named ones, in the order required."""
+    """Positions of the required rules among the named ones, in the order required.
+
+    A required rule that is not named, or is required twice, is a ValueError."""
     position = {name: i for i, name in enumerate(rule_names)}
     missing = [name for name in required if name not in position]
     if missing:
         raise ValueError(f"required rule(s) {missing} not among rules {list(position)}")
+    if len(set(required)) < len(required):
+        repeated = next(name for i, name in enumerate(required) if name in required[:i])
+        raise ValueError(f"required rule {repeated!r} is given more than once")
     return tuple(position[name] for name in required)
 
 

@@ -227,6 +227,57 @@ def test_model_and_rule_lookback_are_checked_before_reading_data(command, args, 
     assert not (tmp_path / "gate.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, args, message",
+    [
+        ("prompt", ["--lookback", "1"], "need at least 2 candles to fit a line, got 1"),
+        ("forecast", ["--lookback", "1", "--model", "drift"], "drift forecast needs a window of at least 2 candles"),
+        ("forecast", ["--lookback", "1", "--model", "linreg"], "linreg forecast needs a window of at least 2 candles"),
+    ],
+    ids=["prompt", "forecast-drift", "forecast-linreg"],
+)
+@pytest.mark.parametrize("data", ["demo", "missing"])
+def test_window_minimums_are_checked_before_reading_data(command, args, message, data, tmp_path, monkeypatch,
+                                                         capsys):
+    def must_not_run(*args):
+        raise AssertionError("the data was read before the window minimum was checked")
+
+    monkeypatch.setattr(cli, "_load_series", must_not_run)
+    path = BACKTEST_FIXTURE if data == "demo" else tmp_path / "missing.csv"
+    assert main([command, str(path), *args]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("fraction, split", [("0", 0), ("0.005", 1)])
+def test_train_gate_names_the_counts_of_an_empty_training_segment(fraction, split, tmp_path, capsys):
+    """A lower train_fraction never adds training origins, so the advice is to raise it."""
+    model_path = tmp_path / "gate.json"
+    code = main(["train-gate", str(BACKTEST_FIXTURE), *BT_ARGS, "--train-fraction", fraction,
+                 "--out", str(model_path)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: training segment is empty: the training split holds {split} origin(s) and the embargo "
+        "of 3 origins before evaluation drops them all; raise train_fraction or add data\n"
+    )
+    assert not model_path.exists()
+
+
+@pytest.mark.parametrize("command", ["train-gate", "backtest"])
+def test_a_rule_required_twice_is_refused_before_reading_data(command, tmp_path, monkeypatch, capsys):
+    def must_not_run(*args):
+        raise AssertionError("the data was read before the required rules were checked")
+
+    monkeypatch.setattr(cli, "_load_series", must_not_run)
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({"required_rules": ["bottoming_tail_candle", "bottoming_tail_candle"]}))
+    argv = [command, str(BACKTEST_FIXTURE), *BT_ARGS, "--config", str(config_path)]
+    if command == "backtest":
+        argv = [command, str(BACKTEST_FIXTURE), *BT_ARGS] + ["--require-rule", "bottoming_tail_candle"] * 2
+    assert main(argv + (["--out", str(tmp_path / "gate.json")] if command == "train-gate" else [])) == 1
+    assert capsys.readouterr().err == "error: required rule 'bottoming_tail_candle' is given more than once\n"
+    assert not (tmp_path / "gate.json").exists()
+
+
 def test_a_config_file_threshold_is_refused_under_gate_model(tmp_path, monkeypatch, capsys):
     """A loaded gate keeps its saved threshold, so a file's threshold is an error, not ignored."""
     def must_not_run(*args):

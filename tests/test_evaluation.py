@@ -390,6 +390,18 @@ def _regime_records_with_required_rule():
     return gate, walk_forward(series, drift_forecast, gate, rules, cfg)
 
 
+@pytest.mark.parametrize("entry", ["train_gate_on_series", "walk_forward"])
+def test_a_rule_required_twice_is_refused(entry):
+    series = make_regime_series(300, lookback=20, horizon=5, seed=3)
+    rules = [regime_flag_rule()]
+    cfg = EvalConfig(lookback=20, horizon=5, train_fraction=0.5, required_rules=(rules[0].name,) * 2)
+    with pytest.raises(ValueError, match=f"^required rule '{rules[0].name}' is given more than once$"):
+        if entry == "walk_forward":
+            walk_forward(series, drift_forecast, _zero_gate(rules), rules, cfg)
+        else:
+            train_gate_on_series(series, drift_forecast, rules, cfg)
+
+
 def test_apply_threshold_at_gate_threshold_keeps_rule_vetoes():
     gate, records = _regime_records_with_required_rule()
     executed = sum(r.decision.executed for r in records)

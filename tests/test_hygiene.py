@@ -82,3 +82,23 @@ def test_every_parameter_is_read():
             read = {n.id for n in ast.walk(body) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
             unread += [f"{module}.{name}({param})" for param in params if param not in read]
     assert unread == []
+
+
+# Every module the package imports, its own modules aside.  A fresh interpreter's
+# `import candlegate` is most of `bench/run.py`'s `setup_s` on `backtest_10k`, so a new
+# import, even one inside a function, is a deliberate edit of this set.
+IMPORTS = {
+    "__future__", "argparse", "array", "collections.abc", "contextlib", "csv", "dataclasses", "datetime", "enum",
+    "functools", "io", "itertools", "json", "numpy", "pathlib", "re", "statistics", "sys", "typing",
+}
+
+
+def test_the_package_imports_only_the_listed_modules():
+    imported = set()
+    for tree in MODULES.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Import):
+                imported.update(alias.name for alias in n.names)
+            elif isinstance(n, ast.ImportFrom) and n.level == 0:
+                imported.add(n.module)
+    assert imported == IMPORTS

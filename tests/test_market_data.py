@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from candlegate import market_data
-from candlegate.forecaster import load_external_forecasts
+from candlegate.forecaster import load_external_forecasts, read_external_forecasts
 from candlegate.market_data import (
     BLOCK,
     ParseError,
@@ -470,3 +470,52 @@ def test_parse_peak_memory_is_at_most_three_times_the_input():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * len(data), f"peak {peak} bytes for {len(data)} input bytes"
+
+
+@pytest.mark.parametrize("kind", ["market", "external"])
+def test_ascii_bytes_are_never_decoded_whole(kind):
+    """Parsing ASCII bytes allocates nothing near the input's size.  Values padded
+    with leading zeros make rows of about 1 KB, so the rows of a block and the
+    columns parsed stay well under half the input, which one decoded copy of the
+    text would exceed."""
+    if kind == "market":
+        pad = "0" * 190
+        rows = (f"{1_700_000_000 + 60 * i},{pad}100.5,{pad}101,{pad}99,{pad}100.25,{pad}7" for i in range(8_000))
+        data, parse = f"{HEADER}\n{chr(10).join(rows)}\n".encode(), parse_csv
+    else:
+        pad = "0" * 950
+        rows = (f"{1_700_000_000 + 60 * i},{k},{pad}100.5" for i in range(2_700) for k in (1, 2, 3))
+        data, parse = f"origin_timestamp,step,predicted_close\n{chr(10).join(rows)}\n".encode(), read_external_forecasts
+    assert data.isascii()
+    tracemalloc.start()
+    try:
+        parse(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(data) / 2, f"peak {peak} bytes for {len(data)} input bytes"
+
+
+@pytest.mark.parametrize("text", [" \r \n", "\ufeff \n", "\u3000\n\n", "\n\n\t\n", "\ufeff\ufeff"])
+def test_blank_bytes_are_empty_input(text):
+    with pytest.raises(ParseError, match="^empty input: no header or data rows$"):
+        parse_csv(text.encode())
+
+
+@pytest.mark.parametrize("data, line", [(b" \n\n\xff\n", 3), (b"\xef\xbb\xbf\r\n\xe3\x80\n", 2),
+                                        (b"x \r y\n\xfe", 2)])
+def test_an_undecodable_byte_comes_before_blank_input_and_a_bad_first_record(data, line):
+    with pytest.raises(ParseError, match=f"^line {line}: invalid UTF-8 byte 0x"):
+        parse_csv(data)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("\ufeff \n,\n", "^line 1: expected header"),
+    (" \t\n\u3000x\n", "^line 1: expected header"),
+    ("x \r y\n", "^line 1: new-line character seen in unquoted field"),
+    ("\n\ufeff\n", "^line 2: expected header"),
+])
+@pytest.mark.parametrize("encode", [False, True], ids=["str", "bytes"])
+def test_a_first_record_that_is_not_blank_input_keeps_its_fault(text, message, encode):
+    with pytest.raises(ParseError, match=message):
+        parse_csv(text.encode() if encode else text)

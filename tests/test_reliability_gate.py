@@ -264,6 +264,13 @@ def test_decide_missing_required_rule():
         decide(0.9, model, [], ["nope"])
 
 
+def test_decide_refuses_a_rule_required_twice():
+    """Its reason line would otherwise be given twice."""
+    model = _model([1.0])
+    with pytest.raises(ValueError, match="^required rule 'r' is given more than once$"):
+        decide(0.9, model, [_verdict("r", True)], ["r", "r"])
+
+
 def test_decide_is_pure():
     model = _model([1.0], threshold=0.5)
     verdicts = [_verdict("r", True)]

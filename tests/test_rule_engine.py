@@ -15,6 +15,8 @@ from candlegate.rule_engine import (
     bottoming_tail_rule,
     evaluate_rule,
     explain,
+    predicate_columns,
+    rule_verdicts,
 )
 
 from conftest import Candle, candle_rows, make_series, series_from_rows
@@ -201,9 +203,10 @@ def test_evidence_classes_replace_and_asdict_like_plain_dataclasses():
     assert repr(verdict.trace[0]).startswith("TraceEntry(predicate='lowest_low_in_window', measured=")
 
 
-def test_kept_verdicts_cost_at_most_800_bytes_each():
-    """Verdicts a caller keeps hold their numbers, not per-object dicts: each of
-    1,200 evaluate_rule verdicts (six trace entries) costs at most 800 bytes."""
+def test_kept_verdicts_cost_at_most_560_bytes_each():
+    """Verdicts a caller keeps hold their numbers, not per-object dicts, and share
+    what does not vary: each of 1,200 evaluate_rule verdicts (six trace entries)
+    costs at most 560 bytes."""
     rule, lookback, n = bottoming_tail_rule(), DEFAULT_LOOKBACK, 1_200
     series = make_series(np.random.default_rng(5), lookback + n)
     windows = [series.window(end - lookback, end) for end in range(lookback, lookback + n)]
@@ -215,4 +218,24 @@ def test_kept_verdicts_cost_at_most_800_bytes_each():
         per_verdict = (tracemalloc.get_traced_memory()[0] - before) / len(kept)
     finally:
         tracemalloc.stop()
-    assert per_verdict <= 800, per_verdict
+    assert per_verdict <= 560, per_verdict
+
+
+def test_verdicts_share_ranked_entries_and_a_column_read_twice():
+    """A ranked predicate hands one TraceEntry, whose threshold is its cutoff float, to
+    every verdict with its count, whether the verdicts come from one block or one
+    window at a time; the tail and body predicates box their one column once."""
+    rule, lookback, n = bottoming_tail_rule(), DEFAULT_LOOKBACK, 400
+    series = make_series(np.random.default_rng(11), lookback + n)
+    ends = np.arange(lookback, lookback + n)
+    verdicts = rule_verdicts(rule, predicate_columns(rule, series, ends, lookback))
+    verdicts += [evaluate_rule(rule, series.window(end - lookback, end)) for end in ends[::8].tolist()]
+    names = [p.name for p in rule.predicates]
+    for k in (names.index("range_in_top_70pct"), names.index("volume_in_top_10pct")):
+        entries = {}
+        for v in verdicts:
+            assert v.trace[k] is entries.setdefault(v.trace[k].measured, v.trace[k])
+            assert v.trace[k].threshold is rule.predicates[k].cutoff
+        assert 1 < len(entries) <= lookback + 1
+    tail, body = names.index("lower_tail_at_least_half_of_range"), names.index("body_in_upper_half")
+    assert all(v.trace[tail].measured is v.trace[body].measured for v in verdicts)
