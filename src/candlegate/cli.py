@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: validate, rules-scan, forecast, train-gate, backtest, prompt,
-report.  Each takes the flags of the config keys it reads (``FLAGS``).
+report.  Each takes the flags of the config keys it reads (``SETTINGS``).
 Options may also come from a JSON config file (--config), which any command
 accepts; explicit flags override file values.  Exit codes: 0 success,
 1 validation or domain error, 2 usage error.
@@ -37,41 +37,33 @@ from .reliability_gate import model_from_json, model_to_json
 from .rule_engine import bottoming_tail_rule, explain, predicate_columns, rule_passed, rule_verdicts
 from .rule_engine import required_positions
 
-DEFAULTS = {
-    "symbol": "",
-    "model": "drift",
-    **{f.name: f.default for f in fields(EvalConfig)},
-    "coverage": DEFAULT_COVERAGE,
-    "threshold": DEFAULT_THRESHOLD,
-    "samples": PromptConfig.line_samples,
-    "asset": "Bitcoin",
-    "domain": BITCOIN_DOMAIN,
-    "format": "table",
-}
-
 FORMATS = ("table", "json", "csv")
+CHOICES = {"format": FORMATS}
+MODELS = "|".join((*KERNELS, "external:PATH"))
 
-# Each config key's flag, its argparse keywords and its help, where "{}" stands for the key's default.
-FLAGS = {
-    "symbol": ("--symbol", {}, "symbol label (default: file stem)"),
-    "model": ("--model", {}, "forecaster: naive|drift|linreg|external:PATH (default {})"),
-    "lookback": ("--lookback", {"type": int}, "window length (default {})"),
-    "horizon": ("--horizon", {"type": int}, "forecast steps (default {})"),
-    "coverage": ("--coverage", {"type": float}, "central interval coverage (default {})"),
-    "stride": ("--stride", {"type": int}, "evaluation origin step (default {})"),
-    "train_fraction": ("--train-fraction", {"type": float}, "fraction of origins for training (default {})"),
-    "threshold": ("--threshold", {"type": float}, "gate score threshold (default {})"),
-    "required_rules": ("--require-rule", {"action": "append"}, "rule that must pass to execute (repeatable)"),
-    "samples": ("--samples", {"type": int}, "points per trend-line sequence (default {})"),
-    "asset": ("--asset", {}, "asset name used in the template (default {})"),
-    "domain": ("--domain", {}, "domain paragraph override"),
-    "format": ("--format", {"choices": FORMATS}, "report file format (default {})"),
+# Each config key's default, its flag and its help, where "{}" stands for the default.  A flag
+# takes values of its default's type, or a repeated value into a tuple default.
+SETTINGS = {
+    "symbol": ("", "--symbol", "symbol label (default: file stem)"),
+    "model": ("drift", "--model", f"forecaster: {MODELS} (default {{}})"),
+    "lookback": (EvalConfig.lookback, "--lookback", "window length (default {})"),
+    "horizon": (EvalConfig.horizon, "--horizon", "forecast steps (default {})"),
+    "coverage": (DEFAULT_COVERAGE, "--coverage", "central interval coverage (default {})"),
+    "stride": (EvalConfig.stride, "--stride", "evaluation origin step (default {})"),
+    "train_fraction": (EvalConfig.train_fraction, "--train-fraction",
+                       "fraction of origins for training (default {})"),
+    "threshold": (DEFAULT_THRESHOLD, "--threshold", "gate score threshold (default {})"),
+    "required_rules": (EvalConfig.required_rules, "--require-rule", "rule that must pass to execute (repeatable)"),
+    "samples": (PromptConfig.line_samples, "--samples", "points per trend-line sequence (default {})"),
+    "asset": ("Bitcoin", "--asset", "asset name used in the template (default {})"),
+    "domain": (BITCOIN_DOMAIN, "--domain", "domain paragraph override"),
+    "format": (FORMATS[0], "--format", "report file format (default {})"),
 }
 
 
 def _check_config_value(key: str, value) -> None:
     """Reject a config-file value whose type differs from that of its default."""
-    default = DEFAULTS[key]
+    default = SETTINGS[key][0]
     if isinstance(default, tuple):
         kind = "list of str"
         ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
@@ -80,18 +72,18 @@ def _check_config_value(key: str, value) -> None:
         ok = _has_kind(value, _NUMBER if kind == "float" else type(default))  # a float key takes an int
     if not ok:
         raise ValueError(f"config file key {key!r} must be of type {kind}, got {value!r}")
-    if key == "format" and value not in FORMATS:
-        raise ValueError(f"config file key 'format' must be one of {list(FORMATS)}, got {value!r}")
+    if key in CHOICES and value not in CHOICES[key]:
+        raise ValueError(f"config file key {key!r} must be one of {list(CHOICES[key])}, got {value!r}")
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
     """Layer defaults, then the JSON config file, then explicit flags."""
-    merged = dict(DEFAULTS)
+    merged = {key: setting[0] for key, setting in SETTINGS.items()}
     if args.config:
         file_config = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(file_config, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = set(file_config) - set(DEFAULTS)
+        unknown = set(file_config) - set(SETTINGS)
         if unknown:
             raise ValueError(f"unknown config file keys: {sorted(unknown)}")
         for key, value in file_config.items():
@@ -100,10 +92,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ValueError("config file key 'threshold' conflicts with --gate-model: "
                              "a loaded gate keeps its saved threshold")
         merged.update(file_config)
-    merged.update((key, value) for key, value in vars(args).items() if key in DEFAULTS)
+    merged.update((key, value) for key, value in vars(args).items() if key in SETTINGS)
     coverage_z(merged["coverage"])  # a bad coverage or model is reported before any input is read
     if merged["model"] not in KERNELS and not merged["model"].startswith("external:"):
-        raise ValueError(f"unknown forecaster {merged['model']!r} (naive|drift|linreg|external:PATH)")
+        raise ValueError(f"unknown forecaster {merged['model']!r} ({MODELS})")
     return merged
 
 
@@ -265,8 +257,10 @@ def cmd_report(args) -> int:
 def _add_flags(parser, *keys: str) -> None:
     """Add the flags of the named config keys; a flag left out leaves its key unset."""
     for key in keys:
-        flag, kw, text = FLAGS[key]
-        parser.add_argument(flag, dest=key, default=argparse.SUPPRESS, help=text.format(DEFAULTS[key]), **kw)
+        default, flag, text = SETTINGS[key]
+        typed = {"type": type(default), "choices": CHOICES.get(key)}
+        kw = {"action": "append"} if isinstance(default, tuple) else typed
+        parser.add_argument(flag, dest=key, default=argparse.SUPPRESS, help=text.format(default), **kw)
 
 
 def _add_command(sub, name: str, func, text: str, keys: str) -> argparse.ArgumentParser:

@@ -298,6 +298,12 @@ def report(rows: list[MetricsRow], fmt: str = "table") -> str:
     raise ValueError(f"unknown report format {fmt!r}")
 
 
+def _is_metric(value) -> bool:
+    """A loaded report value is undefined (None) or a number in [0, 1]; NaN, the infinities
+    and JSON true/false are not."""
+    return value is None or (_has_kind(value, _NUMBER) and 0 <= value <= 1)
+
+
 def parse_report_csv(text: str) -> list[MetricsRow]:
     """Rows of a CSV report; a malformed row raises ValueError naming its line."""
     reader = csv.reader(io.StringIO(text))
@@ -312,9 +318,12 @@ def parse_report_csv(text: str) -> list[MetricsRow]:
         nums = []
         for name, value in zip(names[2:], row[2:]):
             try:
-                nums.append(None if value == "" else float(value))
+                number = None if value == "" else float(value)
             except ValueError:
-                raise ValueError(f"report line {line}: {name} {value!r} is not a number") from None
+                number = value  # not a number, so refused below
+            if not _is_metric(number):
+                raise ValueError(f"report line {line}: {name} {value!r} is not a number in [0, 1]")
+            nums.append(number)
         out.append(MetricsRow(row[0], row[1], *nums))
     return out
 
@@ -335,8 +344,8 @@ def parse_report_json(text: str | bytes) -> list[MetricsRow]:
             if f.name in ("model", "side"):
                 if not isinstance(value, str):
                     raise ValueError(f"report row {i}: {f.name} {value!r} is not a string")
-            elif value is not None and not _has_kind(value, _NUMBER):
-                raise ValueError(f"report row {i}: {f.name} {value!r} is not a number")
+            elif not _is_metric(value):
+                raise ValueError(f"report row {i}: {f.name} {value!r} is not a number in [0, 1]")
         out.append(MetricsRow(**{f.name: row[f.name] for f in fields(MetricsRow)}))
     return out
 

@@ -30,6 +30,7 @@ from .market_data import (
     _read_csv,
     _read_data,
     _timestamps,
+    first_fault,
     format_timestamp,
 )
 
@@ -64,16 +65,14 @@ def _first_fault(paths: np.ndarray, lower=None, upper=None) -> tuple[int, str] |
     if lower is None:
         lower = upper = paths
     # Finite bounds that bracket the path make a finite path.
-    ok = np.isfinite(lower) & np.isfinite(upper) & (lower <= paths) & (paths <= upper)
+    finite, brackets = np.isfinite(lower) & np.isfinite(upper), (lower <= paths) & (paths <= upper)
+    ok = finite & brackets
     if np.count_nonzero(ok) == ok.size:
         return None
-    checks = (
-        ("forecast values must be finite", ~np.isfinite(np.stack((lower, paths, upper))).all(axis=0)),
-        ("interval must bracket the path pointwise", ~((lower <= paths) & (paths <= upper))),
-    )
-    faults = np.stack([bad.any(axis=tuple(range(1, paths.ndim))) for _, bad in checks])
-    i = int(faults.any(axis=0).argmax())
-    return i, checks[int(faults[:, i].argmax())][0]
+    return first_fault((
+        ("forecast values must be finite", ~(finite & np.isfinite(paths)).all(axis=1)),
+        ("interval must bracket the path pointwise", ~brackets.all(axis=1)),
+    ))
 
 
 @dataclass(frozen=True)
@@ -85,9 +84,8 @@ class Forecast:
     upper: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        fault = _first_fault(*(None if c is None else np.array([c], dtype=np.float64)
-                               for c in (self.path, self.lower, self.upper)))
-        if fault is not None:
+        if fault := _first_fault(*(None if c is None else np.array([c], dtype=np.float64)
+                                   for c in (self.path, self.lower, self.upper))):
             raise ValueError(fault[1])
 
     @classmethod
@@ -124,8 +122,7 @@ class Forecasts(Sequence):
                 object.__setattr__(self, name, column)
         if self.paths.ndim != 2:
             raise ValueError(f"need paths (N, H), got shape {self.paths.shape}")
-        fault = _first_fault(self.paths, self.lower, self.upper)
-        if fault is not None:
+        if fault := _first_fault(self.paths, self.lower, self.upper):
             raise ValueError(fault[1])
 
     @classmethod
@@ -266,8 +263,7 @@ class Baseline(BlockForecaster):
         gather and block loop of ``BlockForecaster.__call__``, about a third of a
         one-window forecast and a tenth of a one-origin decision."""
         columns = self.kernel(w.closes[None, :], horizon, self.coverage)
-        fault = _first_fault(*columns)
-        if fault is not None:
+        if fault := _first_fault(*columns):
             raise ValueError(fault[1])
         return _row(0, *columns)
 
@@ -444,8 +440,7 @@ def read_external_forecasts(text: str | bytes, series: Series | None = None) -> 
         at = np.searchsorted(series.timestamps, ts[starts])
         absent = series.timestamps[np.minimum(at, len(series) - 1)] != ts[starts]
     faulty = gapped | absent
-    value_fault = _first_fault(*values.T) if len(values) else None
-    if value_fault is not None:
+    if value_fault := _first_fault(*values.T[:, :, None]):  # each row's values as a one-step forecast
         faulty[group[value_fault[0]]] = True
     if faulty.any():
         g = int(faulty.argmax())

@@ -65,29 +65,33 @@ class ValidationError(ValueError):
 _COLUMNS = ("timestamps", "opens", "highs", "lows", "closes", "volumes")
 
 
-def _first_violation(ts, o, h, l, c, v) -> tuple[int, str] | None:
-    """(index, message) of the earliest candle that breaks an invariant, or None.
+def first_fault(checks) -> tuple[int, str] | None:
+    """(row, message) of the earliest row that a check flags, or None: the one rule that picks
+    a fault.  ``checks`` are ``(message, bad-rows mask)`` pairs in order of precedence, so at a
+    row that several flag the check listed first is reported."""
+    end, message = None, None
+    for check, bad in checks:
+        if bad[:end].any():
+            end, message = int(bad.argmax()), check
+    return None if end is None else (end, message)
 
-    This is the one statement of the candle invariants.  At one candle the
-    checks are reported in the order listed.
-    """
-    prices = np.stack((o, h, l, c))
-    checks = (
-        ("all fields must be finite", ~np.isfinite(np.vstack((prices, v))).all(axis=0)),
-        ("all prices must be > 0", (prices <= 0).any(axis=0)),
+
+def _first_violation(ts, o, h, l, c, v) -> tuple[int, str] | None:
+    """(index, message) of the earliest candle that breaks an invariant, or None: the one
+    statement of the candle invariants, each mask reading only the columns it needs."""
+    fault = first_fault((
+        ("all fields must be finite",
+         ~(np.isfinite(o) & np.isfinite(h) & np.isfinite(l) & np.isfinite(c) & np.isfinite(v))),
+        ("all prices must be > 0", (o <= 0) | (h <= 0) | (l <= 0) | (c <= 0)),
         ("volume must be >= 0", v < 0),
         ("low must be <= high", l > h),
         ("low must be <= min(open, close)", l > np.minimum(o, c)),
         ("high must be >= max(open, close)", h < np.maximum(o, c)),
-        ("timestamps must be strictly increasing ({} after {})",
-         np.concatenate(([False], ts[1:] <= ts[:-1]))),
-    )
-    faults = np.stack([mask for _, mask in checks])
-    faulty = faults.any(axis=0)
-    if not faulty.any():
+        ("timestamps must be strictly increasing ({} after {})", np.concatenate(([False], ts[1:] <= ts[:-1]))),
+    ))
+    if fault is None:
         return None
-    i = int(faulty.argmax())
-    message = checks[int(faults[:, i].argmax())][0]
+    i, message = fault
     return i, message.format(int(ts[i]), int(ts[i - 1]))
 
 
@@ -120,8 +124,7 @@ class Series:
             raise ValidationError(f"columns must be 1-d and of equal length, got shapes {shapes}")
         if len(self) == 0:
             raise ValidationError("series is empty")
-        violation = _first_violation(*self.columns)
-        if violation is not None:
+        if violation := _first_violation(*self.columns):
             raise ValidationError(violation[1], index=violation[0])
 
     @property

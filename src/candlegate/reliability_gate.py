@@ -18,7 +18,7 @@ import numpy as np
 
 from .forecaster import Forecast
 from .indicators import RESISTANCE, SUPPORT, envelope_lines, volatilities, window_index
-from .market_data import Series, Window
+from .market_data import Series, Window, first_fault
 from .rule_engine import RuleVerdict, required_positions
 
 MODEL_FORMAT = 2
@@ -73,10 +73,9 @@ def feature_rows(
     X[:, 5] = ((resistance_intercepts + resistance_slopes * (length - 1)) - last) / last
     X[:, 6:-1] = passed
     X[:, -1] = 1.0
-    finite = np.isfinite(X)
-    if not finite.all():
-        first_bad_row = finite[np.argmin(finite.all(axis=1))]
-        raise FeatureError(f"non-finite feature {BASE_FEATURE_NAMES[np.argmin(first_bad_row)]!r}")
+    if not np.isfinite(X).all():
+        _, name = first_fault((feature, ~np.isfinite(X[:, j])) for j, feature in enumerate(BASE_FEATURE_NAMES))
+        raise FeatureError(f"non-finite feature {name!r}")
     return X
 
 

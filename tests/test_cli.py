@@ -580,9 +580,22 @@ def test_report_command_renders_json(tmp_path, capsys):
         ("rows.json", '[["a", "Up"]]', "report row 1 is not an object"),
         ("rows.json", '[{"model": "a", "side": "Up", "accuracy": true, "precision": null, '
          '"recall": null, "f1": null, "execution_rate": 1.0}]', "report row 1: accuracy True is not a number"),
+        ("rows.csv", "model,side,accuracy,precision,recall,f1,execution_rate\nm,Up,inf,0.5,0.5,0.5,1.0\n",
+         "report line 2: accuracy 'inf' is not a number in [0, 1]"),
+        ("rows.csv", "model,side,accuracy,precision,recall,f1,execution_rate\nm,Up,0.5,nan,0.5,0.5,1.0\n",
+         "report line 2: precision 'nan' is not a number in [0, 1]"),
+        ("rows.csv", "model,side,accuracy,precision,recall,f1,execution_rate\nm,Up,0.5,0.5,1.5,0.5,1.0\n",
+         "report line 2: recall '1.5' is not a number in [0, 1]"),
+        ("rows.json", '[{"model": "a", "side": "Up", "accuracy": Infinity, "precision": null, '
+         '"recall": null, "f1": null, "execution_rate": 1.0}]', "report row 1: accuracy inf is not a number in [0, 1]"),
+        ("rows.json", '[{"model": "a", "side": "Up", "accuracy": 0.5, "precision": NaN, '
+         '"recall": null, "f1": null, "execution_rate": 1.0}]', "report row 1: precision nan is not a number in [0, 1]"),
+        ("rows.json", '[{"model": "a", "side": "Up", "accuracy": 0.5, "precision": null, '
+         '"recall": null, "f1": null, "execution_rate": 1.5}]',
+         "report row 1: execution_rate 1.5 is not a number in [0, 1]"),
     ],
     ids=["csv_field_count", "csv_non_numeric", "json_missing_key", "json_wrong_type", "json_not_object",
-         "json_bool"],
+         "json_bool", "csv_inf", "csv_nan", "csv_above_one", "json_infinity", "json_nan", "json_above_one"],
 )
 def test_report_rejects_malformed_rows(tmp_path, capsys, name, text, message):
     path = tmp_path / name

@@ -84,6 +84,25 @@ def test_every_parameter_is_read():
     assert unread == []
 
 
+# The private names one package module imports from another.  Each decision stays behind one
+# module, so a new name here is a deliberate edit.
+PRIVATE_IMPORTS = {
+    "forecaster": {"_data_record", "_read_csv", "_read_data", "_timestamps"},
+    "evaluation": {"_NUMBER", "_has_kind"},
+    "cli": {"_NUMBER", "_has_kind"},
+}
+
+
+def test_modules_import_only_the_listed_private_names_of_each_other():
+    imported = {}
+    for module, tree in MODULES.items():
+        names = {alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level
+                 for alias in n.names if alias.name.startswith("_")}
+        if names:
+            imported[module] = names
+    assert imported == PRIVATE_IMPORTS
+
+
 # Every module the package imports, its own modules aside.  A fresh interpreter's
 # `import candlegate` is most of `bench/run.py`'s `setup_s` on `backtest_10k`, so a new
 # import, even one inside a function, is a deliberate edit of this set.

@@ -17,6 +17,7 @@ from candlegate.market_data import (
     ValidationError,
     _parse_timestamp,
     _timestamps,
+    first_fault,
     parse_csv,
 )
 
@@ -470,6 +471,45 @@ def test_parse_peak_memory_is_at_most_three_times_the_input():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * len(data), f"peak {peak} bytes for {len(data)} input bytes"
+
+
+def _masks(*rows):
+    return [np.array(row, dtype=bool) for row in rows]
+
+
+def test_first_fault_reports_the_earliest_row_across_checks():
+    a, b, c = _masks([0, 0, 0, 1], [0, 0, 1, 1], [0, 1, 0, 0])
+    assert first_fault((("a", a), ("b", b), ("c", c))) == (1, "c")
+    assert first_fault((("a", a), ("b", b))) == (2, "b")
+
+
+def test_first_fault_at_a_tie_reports_the_check_listed_first():
+    a, b, c = _masks([0, 0, 1], [0, 1, 1], [0, 1, 0])
+    assert first_fault((("a", a), ("b", b), ("c", c))) == (1, "b")
+    assert first_fault((("c", c), ("b", b), ("a", a))) == (1, "c")
+
+
+def test_first_fault_of_clean_or_empty_masks_is_none():
+    assert first_fault((("a", np.zeros(5, dtype=bool)), ("b", np.zeros(5, dtype=bool)))) is None
+    assert first_fault((("a", np.zeros(0, dtype=bool)), ("b", np.zeros(0, dtype=bool)))) is None
+    assert first_fault(()) is None
+
+
+def test_candle_check_holds_at_most_three_float_columns():
+    """The candle invariants read each column where it is: checking 100k valid candles
+    (every check runs to the end) allocates no more than three float64 columns."""
+    n, rng = 100_000, np.random.default_rng(5)
+    closes = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, n)))
+    opens = np.roll(closes, 1)
+    columns = (np.arange(n, dtype=np.int64) * 60, opens, np.maximum(opens, closes) * 1.01,
+               np.minimum(opens, closes) * 0.99, closes, rng.uniform(1.0, 2.0, n))
+    tracemalloc.start()
+    try:
+        assert market_data._first_violation(*columns) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * n, f"peak {peak} bytes for {n} candles"
 
 
 @pytest.mark.parametrize("kind", ["market", "external"])

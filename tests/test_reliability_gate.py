@@ -12,6 +12,7 @@ from candlegate.reliability_gate import (
     decide,
     extract_features,
     feature_names,
+    feature_rows,
     log_loss_and_gradient,
     model_from_json,
     model_to_json,
@@ -76,6 +77,15 @@ def test_extract_features_rejects_non_finite():
     bad = Forecast((1.7e308,))
     with np.errstate(over="ignore"), pytest.raises(FeatureError, match="predicted_move"):
         extract_features(w, bad, [])
+
+
+def test_feature_rows_name_the_first_non_finite_feature_of_the_first_faulty_row():
+    """Row 0's volatility overflows (a close of 1e-300 then 1e300) while its predicted move is 0;
+    row 1's predicted move overflows.  The earlier row is reported, not the earlier column."""
+    closes = (0.5, 1e-300, 1e300, 0.5, 0.5, 0.5)
+    series = series_from_rows("X", ((86400 * i, c, c, c, c, 1.0) for i, c in enumerate(closes)), "epoch")
+    with np.errstate(all="ignore"), pytest.raises(FeatureError, match="'volatility'"):
+        feature_rows(series, np.array([3, 6]), 3, np.array([1e300, 1.7e308]), np.zeros((2, 0), dtype=bool))
 
 
 def _label_bits(series, path_end, horizon):
